@@ -11,7 +11,9 @@ Every command is deterministic: identical inputs and flags produce
 byte-identical output.  Reports go to ``--out DIR`` (or stdout where a
 single file suffices); diagnostics go to stderr, and the exit status is
 zero exactly when no error occurred.  Options may also be supplied as
-``key=value`` lines in a file passed via ``--config``; explicit flags win.
+``key=value`` lines in a file passed via ``--config``; each line is parsed
+as the flag ``--key=value`` placed before the explicit flags, so it is
+checked exactly like a flag and explicit flags win.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import IO, Callable
 
 from .combine import (
     TOPIC_FIELDS,
@@ -46,39 +49,42 @@ from .textprep import PrepLevel, tokenize
 
 _DUMPED_REPRESENTATIONS = TOPIC_FIELDS[1:]  # the four context fields plus keywords
 
+_CORRELATION_COLUMNS = (
+    "level", "operator", "rep_a", "rep_b", "order", "component", "metric", "rho"
+)
+
 
 class CliError(Exception):
     """User-facing command failure; the message goes to stderr."""
 
 
-def _read_config(path: str | None) -> dict[str, str]:
+def _config_args(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """The ``--config`` file named in ``argv`` as ``--key=value`` arguments."""
+    finder = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return []  # the full parse reports the malformed --config
     if path is None:
-        return {}
-    config: dict[str, str] = {}
+        return []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
+    args = []
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise CliError(f"config line {number}: expected key=value")
-        key, _, value = line.partition("=")
-        config[key.strip()] = value.strip()
-    return config
-
-
-def _resolve(args: argparse.Namespace, config: dict[str, str], key: str,
-             default: str | None = None, required: bool = False) -> str | None:
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    if required and value is None:
-        flag = "--" + key.replace("_", "-")
-        raise CliError(f"missing required option {flag} (or config key {key})")
-    return value
+        key = key.strip().replace("_", "-")
+        if key == "config":
+            parser.error(f"config line {number}: a config file cannot name another")
+        args.append(f"--{key}={value.strip()}")
+    return args
 
 
 def _parse_levels(text: str) -> list[PrepLevel]:
@@ -98,12 +104,6 @@ def _parse_alpha(text: str) -> float:
     return alpha
 
 
-def _parse_choice(text: str, choices: dict[str, object], name: str):
-    if text not in choices:
-        raise CliError(f"bad {name} {text!r}; expected one of {sorted(choices)}")
-    return choices[text]
-
-
 def _emit(text: str, out_dir: str | None, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
@@ -113,75 +113,56 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
     (directory / filename).write_text(text, encoding="utf-8")
 
 
-def _filter_operator(results: list[CombinationResult], operator: str) -> list[CombinationResult]:
-    if operator == "both":
-        return results
-    wanted = FusionOperator(operator)
-    return [res for res in results if res.spec.operator is wanted]
+def _write(args: argparse.Namespace, stem: str, payload: Callable[[], object],
+           write_tsv: Callable[[IO[str]], None]) -> None:
+    """Emit one report in the ``--format`` asked for, building only that format."""
+    if args.format == "obj":
+        _emit(json.dumps(payload(), indent=2, sort_keys=True) + "\n", args.out, stem + ".json")
+    else:
+        buffer = io.StringIO()
+        write_tsv(buffer)
+        _emit(buffer.getvalue(), args.out, stem + ".tsv")
 
 
-def _matrix_from_args(args: argparse.Namespace, config: dict[str, str]) -> list[CombinationResult]:
-    topics = load_topics(_resolve(args, config, "topics", required=True))
-    levels = _parse_levels(_resolve(args, config, "prep", default="I,II,III,IV"))
-    alpha = _parse_alpha(_resolve(args, config, "alpha", default="0.5"))
-    rule = _parse_choice(
-        _resolve(args, config, "positive_rule", default="union"),
-        {rule.value: rule for rule in PositiveRule},
-        "positive rule",
-    )
-    mode = _parse_choice(
-        _resolve(args, config, "agg", default="macro"),
-        {mode.value: mode for mode in AggregationMode},
-        "aggregation mode",
-    )
-    operator = _resolve(args, config, "operator", default="both")
-    if operator not in ("consensus", "recommendation", "both"):
-        raise CliError(f"bad operator {operator!r}")
-    results = run_matrix(topics, levels, alpha=alpha, positive_rule=rule, mode=mode)
-    return _filter_operator(results, operator)
+def _matrix(args: argparse.Namespace) -> list[CombinationResult]:
+    topics = load_topics(args.topics)
+    levels = _parse_levels(args.prep)
+    alpha = _parse_alpha(args.alpha)
+    results = run_matrix(topics, levels, alpha=alpha,
+                         positive_rule=PositiveRule(args.positive_rule),
+                         mode=AggregationMode(args.agg))
+    return [res for res in results if args.operator in ("both", res.spec.operator.value)]
 
 
 def cmd_prep(args: argparse.Namespace) -> int:
-    config = _read_config(args.config)
-    topics = load_topics(_resolve(args, config, "topics", required=True))
-    levels = _parse_levels(_resolve(args, config, "prep", default="I,II,III,IV"))
-    out_format = _resolve(args, config, "format", default="tsv")
-    rows = []
-    for topic in topics:
-        for representation in _DUMPED_REPRESENTATIONS:
-            for level in levels:
-                terms = sorted(tokenize(getattr(topic, representation), level))
-                rows.append((topic.id, representation, level.value, terms))
-    if out_format == "obj":
-        payload = {
-            "termsets": [
-                {"topic": tid, "representation": rep, "level": level, "terms": terms}
-                for tid, rep, level, terms in rows
-            ]
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        _emit(text, _resolve(args, config, "out"), "termsets.json")
-    else:
-        buffer = io.StringIO()
-        buffer.write("topic\trepresentation\tlevel\tterms\n")
+    topics = load_topics(args.topics)
+    levels = _parse_levels(args.prep)
+    rows = [
+        (topic.id, representation, level.value,
+         sorted(tokenize(getattr(topic, representation), level)))
+        for topic in topics
+        for representation in _DUMPED_REPRESENTATIONS
+        for level in levels
+    ]
+
+    def write_tsv(stream: IO[str]) -> None:
+        stream.write("topic\trepresentation\tlevel\tterms\n")
         for tid, rep, level, terms in rows:
-            buffer.write(f"{tid}\t{rep}\t{level}\t{' '.join(terms)}\n")
-        _emit(buffer.getvalue(), _resolve(args, config, "out"), "termsets.tsv")
+            stream.write(f"{tid}\t{rep}\t{level}\t{' '.join(terms)}\n")
+
+    _write(args, "termsets", lambda: {
+        "termsets": [
+            {"topic": tid, "representation": rep, "level": level, "terms": terms}
+            for tid, rep, level, terms in rows
+        ]
+    }, write_tsv)
     return 0
 
 
 def cmd_polyrep(args: argparse.Namespace) -> int:
-    config = _read_config(args.config)
-    results = _matrix_from_args(args, config)
-    out_format = _resolve(args, config, "format", default="tsv")
-    if out_format == "obj":
-        payload = {"results": [_result_record(res) for res in results]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        _emit(text, _resolve(args, config, "out"), "polyrep.json")
-    else:
-        buffer = io.StringIO()
-        write_report(results, buffer, mark_best=True)
-        _emit(buffer.getvalue(), _resolve(args, config, "out"), "polyrep.tsv")
+    results = _matrix(args)
+    _write(args, "polyrep", lambda: {"results": [_result_record(res) for res in results]},
+           lambda stream: write_report(results, stream, mark_best=True))
     return 0
 
 
@@ -208,22 +189,11 @@ def _result_record(result: CombinationResult) -> dict:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _read_config(args.config)
-    run = parse_run(_resolve(args, config, "run", required=True))
-    qrels = parse_qrels(_resolve(args, config, "qrels", required=True))
-    report = evaluate_run(run, qrels)
-    out_format = _resolve(args, config, "format", default="tsv")
-    if out_format == "obj":
-        payload = {
-            "per_query": {qid: dict(report.per_query[qid]) for qid in report.query_ids()},
-            "means": dict(report.means),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        _emit(text, _resolve(args, config, "out"), "metrics.json")
-    else:
-        buffer = io.StringIO()
-        write_metric_report(report, buffer)
-        _emit(buffer.getvalue(), _resolve(args, config, "out"), "metrics.tsv")
+    report = evaluate_run(parse_run(args.run), parse_qrels(args.qrels))
+    _write(args, "metrics", lambda: {
+        "per_query": {qid: dict(report.per_query[qid]) for qid in report.query_ids()},
+        "means": dict(report.means),
+    }, lambda stream: write_metric_report(report, stream))
     return 0
 
 
@@ -237,50 +207,29 @@ def _plot_filename(result: CombinationResult, component: Component, metric: str)
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    config = _read_config(args.config)
-    out_dir = _resolve(args, config, "out", required=True)
-    results = _matrix_from_args(args, config)
-    run = parse_run(_resolve(args, config, "run", required=True))
-    qrels = parse_qrels(_resolve(args, config, "qrels", required=True))
-    report = evaluate_run(run, qrels)
+    results = _matrix(args)
+    report = evaluate_run(parse_run(args.run), parse_qrels(args.qrels))
+    cells = [(res, component, metric)
+             for res in results for component in Component for metric in METRICS]
     rows = []
-    for result in results:
-        for component in Component:
-            for metric in METRICS:
-                rho = correlate_components(result, report, component, metric)
-                rows.append((result, component, metric, rho))
-    out_format = _resolve(args, config, "format", default="tsv")
-    if out_format == "obj":
-        payload = {
-            "correlations": [
-                {
-                    "level": res.spec.level.value,
-                    "operator": res.spec.operator.value,
-                    "rep_a": res.spec.rep_a,
-                    "rep_b": res.spec.rep_b,
-                    "order": res.spec.order_label,
-                    "component": component.value,
-                    "metric": metric,
-                    "rho": rho,
-                }
-                for res, component, metric, rho in rows
-            ]
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_dir, "correlations.json")
-    else:
-        buffer = io.StringIO()
-        buffer.write("level\toperator\trep_a\trep_b\torder\tcomponent\tmetric\trho\n")
-        for res, component, metric, rho in rows:
-            spec = res.spec
-            buffer.write(
-                f"{spec.level.value}\t{spec.operator.value}\t{spec.rep_a}\t{spec.rep_b}"
-                f"\t{spec.order_label}\t{component.value}\t{metric}\t{rho:.4f}\n"
-            )
-        _emit(buffer.getvalue(), out_dir, "correlations.tsv")
-    for res, component, metric, _ in rows:
+    for res, component, metric in cells:
+        spec = res.spec
+        rows.append((spec.level.value, spec.operator.value, spec.rep_a, spec.rep_b,
+                     spec.order_label, component.value, metric,
+                     correlate_components(res, report, component, metric)))
+
+    def write_tsv(stream: IO[str]) -> None:
+        stream.write("\t".join(_CORRELATION_COLUMNS) + "\n")
+        for *key, rho in rows:
+            stream.write("\t".join(key) + f"\t{rho:.4f}\n")
+
+    _write(args, "correlations", lambda: {
+        "correlations": [dict(zip(_CORRELATION_COLUMNS, row)) for row in rows]
+    }, write_tsv)
+    for res, component, metric in cells:
         buffer = io.StringIO()
         write_plot_data(res, report, component, metric, buffer)
-        _emit(buffer.getvalue(), out_dir, _plot_filename(res, component, metric))
+        _emit(buffer.getvalue(), args.out, _plot_filename(res, component, metric))
     return 0
 
 
@@ -288,60 +237,76 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyrep",
         description="Combine query context representations and evaluate retrieval runs.",
+        allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub: argparse.ArgumentParser) -> None:
+    def add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> None:
         sub.add_argument("--config", help="flat key=value options file")
-        sub.add_argument("--out", help="output directory (default: stdout)")
-        sub.add_argument("--format", choices=["tsv", "obj"], help="report format (default tsv)")
+        sub.add_argument("--out", required=out_required,
+                         help="output directory (default: stdout)")
+        sub.add_argument("--format", choices=["tsv", "obj"], default="tsv",
+                         help="report format (default tsv)")
+
+    def add_topic_options(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--topics", required=True, help="line-delimited JSON topic file")
+        sub.add_argument("--prep", default="I,II,III,IV",
+                         help="comma-separated levels from I,II,III,IV")
 
     def add_matrix_options(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--topics", help="line-delimited JSON topic file")
-        sub.add_argument("--prep", help="comma-separated levels from I,II,III,IV")
-        sub.add_argument("--alpha", help="prior base rate in [0, 1] (default 0.5)")
+        add_topic_options(sub)
+        sub.add_argument("--alpha", default="0.5",
+                         help="prior base rate in [0, 1] (default 0.5)")
         sub.add_argument(
             "--positive-rule", dest="positive_rule", choices=["union", "intersection"],
-            help="consensus positive-evidence reading (default union)",
+            default="union", help="consensus positive-evidence reading (default union)",
         )
-        sub.add_argument("--agg", choices=["macro", "pooled"],
+        sub.add_argument("--agg", choices=["macro", "pooled"], default="macro",
                          help="aggregation across topics (default macro)")
         sub.add_argument("--operator", choices=["consensus", "recommendation", "both"],
-                         help="restrict the matrix (default both)")
+                         default="both", help="restrict the matrix (default both)")
 
-    prep = subparsers.add_parser("prep", help="dump per-topic term sets")
-    prep.add_argument("--topics", help="line-delimited JSON topic file")
-    prep.add_argument("--prep", help="comma-separated levels from I,II,III,IV")
+    def add_run_options(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--run", required=True, help="run file (qid Q0 docid rank score tag)")
+        sub.add_argument("--qrels", required=True, help="judgments file (qid 0 docid grade)")
+
+    prep = subparsers.add_parser("prep", help="dump per-topic term sets", allow_abbrev=False)
+    add_topic_options(prep)
     add_common(prep)
     prep.set_defaults(func=cmd_prep)
 
-    poly = subparsers.add_parser("polyrep", help="combination probability table")
+    poly = subparsers.add_parser(
+        "polyrep", help="combination probability table", allow_abbrev=False
+    )
     add_matrix_options(poly)
     add_common(poly)
     poly.set_defaults(func=cmd_polyrep)
 
-    evaluate = subparsers.add_parser("evaluate", help="score a run against judgments")
-    evaluate.add_argument("--run", help="run file (qid Q0 docid rank score tag)")
-    evaluate.add_argument("--qrels", help="judgments file (qid 0 docid grade)")
+    evaluate = subparsers.add_parser(
+        "evaluate", help="score a run against judgments", allow_abbrev=False
+    )
+    add_run_options(evaluate)
     add_common(evaluate)
     evaluate.set_defaults(func=cmd_evaluate)
 
     correlate = subparsers.add_parser(
-        "correlate", help="rank-correlate opinion components with effectiveness"
+        "correlate", help="rank-correlate opinion components with effectiveness",
+        allow_abbrev=False,
     )
     add_matrix_options(correlate)
-    correlate.add_argument("--run", help="run file (qid Q0 docid rank score tag)")
-    correlate.add_argument("--qrels", help="judgments file (qid 0 docid grade)")
-    add_common(correlate)
+    add_run_options(correlate)
+    add_common(correlate, out_required=True)
     correlate.set_defaults(func=cmd_correlate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # config lines go right after the subcommand name, so explicit flags win
+        args = parser.parse_args(argv[:1] + _config_args(parser, argv[1:]) + argv[1:])
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"polyrep: error: {exc}", file=sys.stderr)

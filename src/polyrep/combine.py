@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -210,21 +209,16 @@ def run_matrix(
     alpha: float = DEFAULT_ALPHA,
     positive_rule: PositiveRule = PositiveRule.UNION,
     mode: AggregationMode = AggregationMode.MACRO,
-    max_workers: int | None = None,
 ) -> list[CombinationResult]:
     """Evaluate every combination cell for every level over all topics.
 
-    Cells are independent, so they may be computed by a worker pool; the
-    returned order (levels as given, consensus pairs then recommendation
-    pairs) does not depend on scheduling.
+    Results come in matrix order: levels as given, consensus pairs then
+    recommendation pairs.
     """
     topics = list(topics)
     if not topics:
         raise EmptyTopicListError("at least one topic is required")
     specs = [spec for level in levels for spec in matrix_specs(level, alpha, positive_rule)]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda spec: _combine_all(topics, spec, mode), specs))
     return [_combine_all(topics, spec, mode) for spec in specs]
 
 
@@ -245,8 +239,12 @@ def rank_combinations(results: Sequence[CombinationResult]) -> list[CombinationR
 
 
 def parse_topics(lines: Iterable[str]) -> list[Topic]:
-    """Parse line-delimited JSON topic records with exactly the six fields."""
+    """Parse line-delimited JSON topic records with exactly the six fields.
+
+    Topic ids must be unique; a repeated id is rejected with both line numbers.
+    """
     topics = []
+    first_line: dict[str, int] = {}
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -264,6 +262,13 @@ def parse_topics(lines: Iterable[str]) -> list[Topic]:
             raise TopicParseError(f"line {number}: missing fields {missing}")
         if not all(isinstance(record[field], str) for field in TOPIC_FIELDS):
             raise TopicParseError(f"line {number}: all fields must be strings")
+        topic_id = record["id"]
+        if topic_id in first_line:
+            raise TopicParseError(
+                f"line {number}: duplicate topic id {topic_id!r} (first on line "
+                f"{first_line[topic_id]})"
+            )
+        first_line[topic_id] = number
         try:
             topics.append(Topic(**record))
         except ValueError as exc:

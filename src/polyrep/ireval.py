@@ -315,6 +315,12 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return covariance / math.sqrt(float(variance_x) * float(variance_y))
 
 
+def _component_by_topic(result: CombinationResult, component: Component) -> dict[str, float]:
+    return {
+        topic_id: getattr(opinion, component.value) for topic_id, opinion, _ in result.per_topic
+    }
+
+
 def correlate_components(
     result: CombinationResult,
     report: MetricReport,
@@ -328,10 +334,7 @@ def correlate_components(
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    component_by_topic = {
-        topic_id: getattr(opinion, component.value)
-        for topic_id, opinion, _ in result.per_topic
-    }
+    component_by_topic = _component_by_topic(result, component)
     result_ids = set(component_by_topic)
     report_ids = set(report.per_query)
     if result_ids != report_ids:
@@ -364,10 +367,7 @@ def write_plot_data(
     stream: IO[str],
 ) -> None:
     """Two-column ``x y`` rows: per-topic measure against opinion component."""
-    component_by_topic = {
-        topic_id: getattr(opinion, component.value)
-        for topic_id, opinion, _ in result.per_topic
-    }
+    component_by_topic = _component_by_topic(result, component)
     for tid in sorted(component_by_topic):
         x = report.per_query[tid][metric]
         stream.write(f"{x:.6f} {component_by_topic[tid]:.6f}\n")

@@ -184,6 +184,15 @@ class TestPolyrep:
         ) == 1
         assert "alpha" in capsys.readouterr().err
 
+    def test_duplicate_topic_id_rejected(self, tmp_path, capsys):
+        first = DATA.joinpath("topics.jsonl").read_text().splitlines()[0]
+        topics = tmp_path / "topics.jsonl"
+        topics.write_text(first + "\n" + first + "\n")
+        assert main(["polyrep", "--topics", str(topics)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "line 2" in out.err and "duplicate" in out.err
+
 
 class TestEvaluate:
     def test_fixture_report(self, capsys):
@@ -380,6 +389,51 @@ class TestConfigFile:
         config.write_text("no equals sign here\n")
         assert main(["polyrep", "--config", str(config)]) == 1
         assert "key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, line, named",
+        [
+            ("polyrep", "alpah=0.9", "alpah"),  # unknown key
+            ("polyrep", "format=json", "json"),  # value outside the flag's choices
+            ("polyrep", "operator=foo", "foo"),
+            ("evaluate", "topics={topics}", "topics"),  # key of another subcommand
+            ("polyrep", "top={topics}", "--top="),  # keys must name an option exactly
+            ("polyrep", "config=other.conf", "config line 2"),  # config files do not nest
+        ],
+    )
+    def test_bad_key_or_value_is_usage_error(self, tmp_path, capsys, command, line, named):
+        topics = DATA / "topics.jsonl"
+        valid = {
+            "polyrep": [f"topics={topics}"],
+            "evaluate": [f"run={DATA / 'run.txt'}", f"qrels={DATA / 'qrels.txt'}"],
+        }
+        config = tmp_path / "run.conf"
+        config.write_text("\n".join(valid[command] + [line.format(topics=topics)]) + "\n")
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--config", str(config)])
+        assert exited.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert named in out.err
+
+    def test_value_starting_with_dash_is_a_value(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.conf"
+        config.write_text(f"topics={DATA / 'topics.jsonl'}\nout=-reports\n")
+        assert main(["polyrep", "--config", str(config)]) == 0
+        written = (tmp_path / "-reports" / "polyrep.tsv").read_text()
+        assert written == (DATA / "polyrep_golden.tsv").read_text()
+
+    def test_underscore_and_dash_keys_agree(self, tmp_path, capsys):
+        outputs = []
+        for key in ("positive_rule", "positive-rule"):
+            config = tmp_path / "run.conf"
+            config.write_text(f"topics={DATA / 'topics.jsonl'}\nprep=II\n{key}=intersection\n")
+            assert main(["polyrep", "--config", str(config)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert main(["polyrep", "--topics", str(DATA / "topics.jsonl"), "--prep", "II"]) == 0
+        assert capsys.readouterr().out != outputs[0]
 
 
 class TestDeterminism:
