@@ -38,6 +38,8 @@ from .evidence import PositiveRule
 from .ireval import (
     METRICS,
     Component,
+    MetricReport,
+    ZeroVarianceError,
     correlate_components,
     evaluate_run,
     parse_qrels,
@@ -49,6 +51,8 @@ from .textprep import PrepLevel, tokenize
 
 _DUMPED_REPRESENTATIONS = TOPIC_FIELDS[1:]  # the four context fields plus keywords
 
+_SHOWN_IDS = 5  # query ids a diagnostic names before eliding the rest
+
 _CORRELATION_COLUMNS = (
     "level", "operator", "rep_a", "rep_b", "order", "component", "metric", "rho"
 )
@@ -58,8 +62,15 @@ class CliError(Exception):
     """User-facing command failure; the message goes to stderr."""
 
 
-def _config_args(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """The ``--config`` file named in ``argv`` as ``--key=value`` arguments."""
+def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> list[str]:
+    """The ``--config`` file named in ``argv`` as ``--key=value`` arguments.
+
+    Each key is checked against the subcommand's option strings here, before
+    the full parse, so a bad key is named even when a required option is
+    missing.
+    """
+    if command is None:
+        return []  # the full parse reports the missing or unknown subcommand
     finder = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
     finder.add_argument("--config")
     try:
@@ -80,10 +91,13 @@ def _config_args(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise CliError(f"config line {number}: expected key=value")
-        key = key.strip().replace("_", "-")
-        if key == "config":
-            parser.error(f"config line {number}: a config file cannot name another")
-        args.append(f"--{key}={value.strip()}")
+        option = "--" + key.strip().replace("_", "-")
+        if option == "--config":
+            command.error(f"config line {number}: a config file cannot name another")
+        # argparse has no public index of a parser's option strings
+        if option not in command._option_string_actions:
+            command.error(f"config line {number}: unrecognized argument {option}={value.strip()}")
+        args.append(f"{option}={value.strip()}")
     return args
 
 
@@ -188,8 +202,20 @@ def _result_record(result: CombinationResult) -> dict:
     }
 
 
+def _evaluate(args: argparse.Namespace) -> MetricReport:
+    """Score ``--run`` against ``--qrels``, counting run queries left unscored on stderr."""
+    run, qrels = parse_run(args.run), parse_qrels(args.qrels)
+    report = evaluate_run(run, qrels)
+    unjudged = sorted(set(run.rankings) - set(qrels.grades))
+    if unjudged:
+        shown = ", ".join(unjudged[:_SHOWN_IDS]) + (", ..." if len(unjudged) > _SHOWN_IDS else "")
+        print(f"polyrep: warning: run queries without judgments, not scored: "
+              f"{len(unjudged)} ({shown})", file=sys.stderr)
+    return report
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    report = evaluate_run(parse_run(args.run), parse_qrels(args.qrels))
+    report = _evaluate(args)
     _write(args, "metrics", lambda: {
         "per_query": {qid: dict(report.per_query[qid]) for qid in report.query_ids()},
         "means": dict(report.means),
@@ -208,15 +234,19 @@ def _plot_filename(result: CombinationResult, component: Component, metric: str)
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     results = _matrix(args)
-    report = evaluate_run(parse_run(args.run), parse_qrels(args.qrels))
+    report = _evaluate(args)
     cells = [(res, component, metric)
              for res in results for component in Component for metric in METRICS]
     rows = []
     for res, component, metric in cells:
         spec = res.spec
-        rows.append((spec.level.value, spec.operator.value, spec.rep_a, spec.rep_b,
-                     spec.order_label, component.value, metric,
-                     correlate_components(res, report, component, metric)))
+        key = (spec.level.value, spec.operator.value, spec.rep_a, spec.rep_b,
+               spec.order_label, component.value, metric)
+        try:
+            rows.append((*key, correlate_components(res, report, component, metric)))
+        except ZeroVarianceError as exc:
+            cell = " ".join(f"{name}={value}" for name, value in zip(_CORRELATION_COLUMNS, key))
+            raise CliError(f"{exc}: {cell}") from exc
 
     def write_tsv(stream: IO[str]) -> None:
         stream.write("\t".join(_CORRELATION_COLUMNS) + "\n")
@@ -233,7 +263,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="polyrep",
         description="Combine query context representations and evaluate retrieval runs.",
@@ -298,15 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(correlate, out_required=True)
     correlate.set_defaults(func=cmd_correlate)
 
-    return parser
+    return parser, subparsers.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         # config lines go right after the subcommand name, so explicit flags win
-        args = parser.parse_args(argv[:1] + _config_args(parser, argv[1:]) + argv[1:])
+        config = _config_args(commands.get(argv[0]) if argv else None, argv[1:])
+        args = parser.parse_args(argv[:1] + config + argv[1:])
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"polyrep: error: {exc}", file=sys.stderr)

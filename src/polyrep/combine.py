@@ -31,7 +31,7 @@ from .evidence import (
     recommendation_evidence,
 )
 from .opinions import EvidenceCounts, Opinion, consensus, expectation, from_evidence, recommendation
-from .textprep import PrepLevel, tokenize
+from .textprep import PrepLevel, TermSet, tokenize
 
 #: The four context representations combined pairwise; the keyword
 #: representation always plays the role of the query.
@@ -88,11 +88,6 @@ class Topic:
         if not self.keywords.strip():
             raise ValueError(f"topic {self.id!r}: keywords must be nonempty")
 
-    def representation(self, name: str) -> str:
-        if name not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {name!r}")
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class CombinationSpec:
@@ -131,14 +126,21 @@ class CombinationResult:
     aggregate_probability: float
 
 
-def topic_evidence(topic: Topic, spec: CombinationSpec) -> EvidencePair:
-    """Extract the (rep_a, rep_b) evidence counts for one topic."""
-    query = tokenize(topic.keywords, spec.level)
-    set_a = tokenize(topic.representation(spec.rep_a), spec.level)
-    set_b = tokenize(topic.representation(spec.rep_b), spec.level)
+def _term_sets(topic: Topic, level: PrepLevel, reps: Sequence[str]) -> dict[str, TermSet]:
+    """Term sets of the keywords (the query) and of each named representation."""
+    return {name: tokenize(getattr(topic, name), level) for name in ("keywords", *reps)}
+
+
+def _evidence(sets: dict[str, TermSet], spec: CombinationSpec) -> EvidencePair:
+    set_a, set_b, query = sets[spec.rep_a], sets[spec.rep_b], sets["keywords"]
     if spec.operator is FusionOperator.CONSENSUS:
         return consensus_evidence(set_a, set_b, query, spec.positive_rule)
     return recommendation_evidence(set_a, set_b, query)
+
+
+def topic_evidence(topic: Topic, spec: CombinationSpec) -> EvidencePair:
+    """Extract the (rep_a, rep_b) evidence counts for one topic."""
+    return _evidence(_term_sets(topic, spec.level, (spec.rep_a, spec.rep_b)), spec)
 
 
 def _fuse(pair: EvidencePair, spec: CombinationSpec) -> Opinion:
@@ -178,31 +180,6 @@ def matrix_specs(
     return specs
 
 
-def _pooled_counts(pairs: Iterable[EvidencePair]) -> EvidencePair:
-    pos_a = neg_a = pos_b = neg_b = 0
-    for pair in pairs:
-        pos_a += pair.for_a.positive
-        neg_a += pair.for_a.negative
-        pos_b += pair.for_b.positive
-        neg_b += pair.for_b.negative
-    return EvidencePair(EvidenceCounts(pos_a, neg_a), EvidenceCounts(pos_b, neg_b))
-
-
-def _combine_all(
-    topics: Sequence[Topic], spec: CombinationSpec, mode: AggregationMode
-) -> CombinationResult:
-    pairs = [topic_evidence(topic, spec) for topic in topics]
-    per_topic = []
-    for topic, pair in zip(topics, pairs):
-        fused = _fuse(pair, spec)
-        per_topic.append((topic.id, fused, expectation(fused)))
-    if mode is AggregationMode.MACRO:
-        aggregate = sum(entry[2] for entry in per_topic) / len(per_topic)
-    else:
-        aggregate = expectation(_fuse(_pooled_counts(pairs), spec))
-    return CombinationResult(spec, tuple(per_topic), aggregate)
-
-
 def run_matrix(
     topics: Sequence[Topic],
     levels: Sequence[PrepLevel],
@@ -213,13 +190,35 @@ def run_matrix(
     """Evaluate every combination cell for every level over all topics.
 
     Results come in matrix order: levels as given, consensus pairs then
-    recommendation pairs.
+    recommendation pairs.  Per level, each topic's five term sets are built
+    once, feed all 18 cells and are dropped before the next topic.
     """
     topics = list(topics)
     if not topics:
         raise EmptyTopicListError("at least one topic is required")
-    specs = [spec for level in levels for spec in matrix_specs(level, alpha, positive_rule)]
-    return [_combine_all(topics, spec, mode) for spec in specs]
+    results = []
+    for level in levels:
+        specs = matrix_specs(level, alpha, positive_rule)
+        per_topic: list[list[tuple[str, Opinion, float]]] = [[] for _ in specs]
+        pooled = [[0, 0, 0, 0] for _ in specs]  # positive/negative for a, then b
+        for topic in topics:
+            sets = _term_sets(topic, level, REPRESENTATIONS)
+            for spec, entries, sums in zip(specs, per_topic, pooled):
+                pair = _evidence(sets, spec)
+                fused = _fuse(pair, spec)
+                entries.append((topic.id, fused, expectation(fused)))
+                sums[0] += pair.for_a.positive
+                sums[1] += pair.for_a.negative
+                sums[2] += pair.for_b.positive
+                sums[3] += pair.for_b.negative
+        for spec, entries, (pos_a, neg_a, pos_b, neg_b) in zip(specs, per_topic, pooled):
+            if mode is AggregationMode.MACRO:
+                aggregate = sum(entry[2] for entry in entries) / len(entries)
+            else:
+                pair = EvidencePair(EvidenceCounts(pos_a, neg_a), EvidenceCounts(pos_b, neg_b))
+                aggregate = expectation(_fuse(pair, spec))
+            results.append(CombinationResult(spec, tuple(entries), aggregate))
+    return results
 
 
 def rank_combinations(results: Sequence[CombinationResult]) -> list[CombinationResult]:

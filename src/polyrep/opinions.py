@@ -120,7 +120,8 @@ def _closed_masses(positive: int, negative: int) -> tuple[float, float, float]:
                     best = key
     if best is None:
         # Unreachable for realistic counts (verified exhaustively for
-        # r + s <= 2000); the naive quotients still satisfy additivity
+        # r + s <= 2000, and by a property test on sampled pooled totals
+        # r + s <= 200,000); the naive quotients still satisfy additivity
         # within TOLERANCE.
         return belief, disbelief, uncertainty
     return best[1], best[2], uncertainty

@@ -347,6 +347,27 @@ class TestCorrelate:
         ) == 1
         assert "constant" in capsys.readouterr().err
 
+    def test_constant_rank_vector_names_the_cell(self, tmp_path, capsys):
+        # three topics with t1's text give every cell a constant component
+        t1 = json.loads((DATA / "topics.jsonl").read_text().splitlines()[0])
+        topics = tmp_path / "topics.jsonl"
+        topics.write_text("".join(json.dumps(dict(t1, id=f"t{n}")) + "\n" for n in (1, 2, 3)))
+        out = tmp_path / "out"
+        assert main(
+            [
+                "correlate",
+                "--topics", str(topics),
+                "--run", str(DATA / "run.txt"),
+                "--qrels", str(DATA / "qrels.txt"),
+                "--out", str(out),
+            ]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "constant" in err
+        assert ("level=I operator=consensus rep_a=information_need rep_b=background order=- "
+                "component=belief metric=map") in err
+        assert not out.exists()  # all or nothing: no file is written
+
     def test_misaligned_topic_ids(self, tmp_path, capsys):
         topics, run, qrels = write_concordant_fixture(tmp_path)
         qrels.write_text("q1 0 d1 1\nq1 0 d2 0\n")  # drop q2 judgments
@@ -362,6 +383,48 @@ class TestCorrelate:
             ]
         ) == 1
         assert "q2" in capsys.readouterr().err
+
+
+class TestUnjudgedRunQueries:
+    @pytest.fixture
+    def run_with_probe(self, tmp_path):
+        run = tmp_path / "run.txt"
+        run.write_text((DATA / "run.txt").read_text() + "zz Q0 d9 1 5.0 t\n")
+        return run
+
+    def test_evaluate_counts_them_on_stderr(self, run_with_probe, capsys):
+        qrels = str(DATA / "qrels.txt")
+        assert main(["evaluate", "--run", str(DATA / "run.txt"), "--qrels", qrels]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert main(["evaluate", "--run", str(run_with_probe), "--qrels", qrels]) == 0
+        probed = capsys.readouterr()
+        assert probed.out == plain.out
+        assert probed.err.splitlines() == [
+            "polyrep: warning: run queries without judgments, not scored: 1 (zz)"
+        ]
+
+    def test_correlate_counts_them_and_writes_the_same_bytes(
+        self, run_with_probe, tmp_path, capsys
+    ):
+        outputs = {}
+        for name, run in (("plain", DATA / "run.txt"), ("probed", run_with_probe)):
+            out = tmp_path / name
+            assert main(
+                [
+                    "correlate",
+                    "--topics", str(DATA / "topics.jsonl"),
+                    "--run", str(run),
+                    "--qrels", str(DATA / "qrels.txt"),
+                    "--out", str(out),
+                ]
+            ) == 0
+            outputs[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+            outputs[name + " stderr"] = capsys.readouterr().err
+        assert outputs["probed"] == outputs["plain"]
+        assert outputs["plain stderr"] == ""
+        assert outputs["probed stderr"].count("\n") == 1
+        assert "not scored: 1 (zz)" in outputs["probed stderr"]
 
 
 class TestConfigFile:
@@ -399,6 +462,7 @@ class TestConfigFile:
             ("evaluate", "topics={topics}", "topics"),  # key of another subcommand
             ("polyrep", "top={topics}", "--top="),  # keys must name an option exactly
             ("polyrep", "config=other.conf", "config line 2"),  # config files do not nest
+            ("prep", "top={topics}", "--top="),  # named although --topics is missing too
         ],
     )
     def test_bad_key_or_value_is_usage_error(self, tmp_path, capsys, command, line, named):
@@ -408,7 +472,7 @@ class TestConfigFile:
             "evaluate": [f"run={DATA / 'run.txt'}", f"qrels={DATA / 'qrels.txt'}"],
         }
         config = tmp_path / "run.conf"
-        config.write_text("\n".join(valid[command] + [line.format(topics=topics)]) + "\n")
+        config.write_text("\n".join(valid.get(command, []) + [line.format(topics=topics)]) + "\n")
         with pytest.raises(SystemExit) as exited:
             main([command, "--config", str(config)])
         assert exited.value.code == 2

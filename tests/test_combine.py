@@ -4,6 +4,8 @@ import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyrep.combine import (
     AggregationMode,
@@ -20,8 +22,11 @@ from polyrep.combine import (
     parse_topics,
     rank_combinations,
     run_matrix,
+    topic_evidence,
     write_report,
 )
+from polyrep.evidence import PositiveRule
+from polyrep.opinions import EvidenceCounts, consensus, expectation, from_evidence, recommendation
 from polyrep.textprep import PrepLevel
 
 TOL = 1e-9
@@ -229,6 +234,66 @@ class TestRunMatrix:
         assert len(consensus_pairs) == 6
         rec = [s for s in specs if s.operator is FusionOperator.RECOMMENDATION]
         assert len(rec) == 12 and len({(s.rep_a, s.rep_b, s.order) for s in rec}) == 12
+
+
+# Words that split, lowercase, stop and stem differently across the levels.
+_WORDS = ["plasma", "Plasma", "signatures", "signature", "the", "of", "running", "runs",
+          "ion", "ions", "quark-gluon", "Quark", "data,", "2017", "a", "b"]
+_texts = st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join)
+
+
+@st.composite
+def topic_lists(draw):
+    """Topics built from a few texts; reused picks give topics with identical text."""
+    texts = draw(st.lists(
+        st.tuples(_texts, _texts, _texts, _texts,
+                  st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4).map(" ".join)),
+        min_size=1, max_size=3,
+    ))
+    picks = draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=5))
+    return [Topic(f"t{number}", *texts[pick]) for number, pick in enumerate(picks)]
+
+
+def reference_matrix(topics, levels, alpha, rule, mode):
+    """``run_matrix`` rebuilt cell by cell from ``combine_topic`` and ``topic_evidence``."""
+    results = []
+    for level in levels:
+        for spec in matrix_specs(level, alpha, rule):
+            per_topic = tuple((topic.id, *combine_topic(topic, spec)) for topic in topics)
+            if mode is AggregationMode.MACRO:
+                aggregate = sum(value for _, _, value in per_topic) / len(per_topic)
+            else:
+                pairs = [topic_evidence(topic, spec) for topic in topics]
+                side_a = from_evidence(EvidenceCounts(
+                    sum(p.for_a.positive for p in pairs), sum(p.for_a.negative for p in pairs)
+                ), alpha)
+                side_b = from_evidence(EvidenceCounts(
+                    sum(p.for_b.positive for p in pairs), sum(p.for_b.negative for p in pairs)
+                ), alpha)
+                if spec.operator is FusionOperator.CONSENSUS:
+                    fused = consensus(side_a, side_b)
+                elif spec.order is CombinationOrder.AB:
+                    fused = recommendation(trust=side_a, advice=side_b)
+                else:
+                    fused = recommendation(trust=side_b, advice=side_a)
+                aggregate = expectation(fused)
+            results.append(CombinationResult(spec, per_topic, aggregate))
+    return results
+
+
+class TestRunMatrixOracle:
+    @pytest.mark.parametrize("mode", list(AggregationMode))
+    @pytest.mark.parametrize("rule", list(PositiveRule))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        topics=topic_lists(),
+        levels=st.permutations(ALL_LEVELS),
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_equals_cell_by_cell_reference(self, rule, mode, topics, levels, alpha):
+        assert run_matrix(topics, levels, alpha, rule, mode) == reference_matrix(
+            topics, levels, alpha, rule, mode
+        )
 
 
 class TestRanking:

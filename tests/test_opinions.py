@@ -141,6 +141,19 @@ class TestFromEvidence:
         bigger = from_evidence(EvidenceCounts(positive + 1, negative), 0.5)
         assert bigger.uncertainty < current.uncertainty
 
+    @settings(max_examples=1000)
+    @given(
+        st.integers(0, 200_000).flatmap(
+            lambda total: st.tuples(st.integers(0, total), st.just(total))
+        ),
+        _unit,
+    )
+    def test_additivity_is_exact_for_pooled_totals(self, split, base_rate):
+        # pooled aggregation sums evidence over topics, far past the exhaustively checked range
+        positive, total = split
+        opinion = from_evidence(EvidenceCounts(positive, total - positive), base_rate)
+        assert (opinion.belief + opinion.disbelief) + opinion.uncertainty == 1.0
+
     def test_uncertainty_vanishes_with_mass_of_evidence(self):
         assert from_evidence(EvidenceCounts(10**6, 10**6), 0.5).uncertainty < 1e-5
 
