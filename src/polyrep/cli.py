@@ -36,6 +36,7 @@ from .combine import (
 )
 from .evidence import PositiveRule
 from .ireval import (
+    EVALUATION_DEPTH,
     METRICS,
     Component,
     MetricReport,
@@ -202,15 +203,24 @@ def _result_record(result: CombinationResult) -> dict:
     }
 
 
+def _warn(what: str, ids: list[str], count: int | None = None) -> None:
+    """One counted diagnostic on stderr naming the first query ids; silent when empty."""
+    if ids:
+        shown = ", ".join(ids[:_SHOWN_IDS]) + (", ..." if len(ids) > _SHOWN_IDS else "")
+        print(f"polyrep: warning: {what}: {len(ids) if count is None else count} ({shown})",
+              file=sys.stderr)
+
+
 def _evaluate(args: argparse.Namespace) -> MetricReport:
-    """Score ``--run`` against ``--qrels``, counting run queries left unscored on stderr."""
+    """Score ``--run`` against ``--qrels``, counting on stderr what the scores leave out."""
     run, qrels = parse_run(args.run), parse_qrels(args.qrels)
     report = evaluate_run(run, qrels)
-    unjudged = sorted(set(run.rankings) - set(qrels.grades))
-    if unjudged:
-        shown = ", ".join(unjudged[:_SHOWN_IDS]) + (", ..." if len(unjudged) > _SHOWN_IDS else "")
-        print(f"polyrep: warning: run queries without judgments, not scored: "
-              f"{len(unjudged)} ({shown})", file=sys.stderr)
+    _warn("run queries without judgments, not scored",
+          sorted(set(run.rankings) - set(qrels.grades)))
+    _warn("judged queries absent from the run, scored zero",
+          sorted(set(qrels.grades) - set(run.rankings)))
+    _warn(f"documents past depth {EVALUATION_DEPTH}, not scored", sorted(run.cut),
+          sum(run.cut.values()))
     return report
 
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .combine import CombinationResult
 
@@ -68,46 +68,44 @@ class Qrels:
 
     grades: Mapping[str, Mapping[str, int]]
 
-    def query_ids(self) -> list[str]:
-        return sorted(self.grades)
-
-    def grade(self, qid: str, docid: str) -> int | None:
-        return self.grades.get(qid, {}).get(docid)
-
-    def relevant_count(self, qid: str) -> int:
-        return sum(1 for grade in self.grades.get(qid, {}).values() if grade > 0)
-
-    def nonrelevant_count(self, qid: str) -> int:
-        return sum(1 for grade in self.grades.get(qid, {}).values() if grade == 0)
-
 
 @dataclass(frozen=True)
 class RunList:
-    """Per query, documents ordered by descending score (doc id breaks ties)."""
+    """Per query, documents ordered by descending score (doc id breaks ties).
+
+    ``cut`` counts, for each query that retrieved more than
+    :data:`EVALUATION_DEPTH` documents, how many were dropped from its ranking.
+    """
 
     rankings: Mapping[str, tuple[tuple[str, float], ...]]
+    cut: Mapping[str, int] = field(default_factory=dict)
 
-    def query_ids(self) -> list[str]:
-        return sorted(self.rankings)
 
-    def ranking(self, qid: str) -> tuple[tuple[str, float], ...]:
-        return self.rankings.get(qid, ())
+def _fields(
+    source: str | Path | Iterable[str], width: int, error: type[ValueError]
+) -> Iterator[tuple[int, list[str]]]:
+    """Each nonblank line of ``source`` as (1-based line number, its fields).
 
-    def ranked_docs(self, qid: str) -> list[str]:
-        return [docid for docid, _ in self.ranking(qid)]
+    A path is read lazily, one line at a time; a line without exactly
+    ``width`` whitespace-separated fields raises ``error``.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            yield from _fields(fh, width, error)
+        return
+    for number, line in enumerate(source, start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != width:
+            raise error(f"line {number}: expected {width} fields, got {len(fields)}")
+        yield number, fields
 
 
 def parse_run(source: str | Path | Iterable[str]) -> RunList:
     """Parse a run file; duplicate documents within a query are rejected."""
-    lines = _as_lines(source)
     scored: dict[str, dict[str, float]] = {}
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != 6:
-            raise RunParseError(f"line {number}: expected 6 fields, got {len(fields)}")
-        qid, _, docid, _, score_text, _ = fields
+    for number, (qid, _, docid, _, score_text, _) in _fields(source, 6, RunParseError):
         try:
             score = float(score_text)
         except ValueError as exc:
@@ -118,24 +116,19 @@ def parse_run(source: str | Path | Iterable[str]) -> RunList:
         if docid in per_query:
             raise RunParseError(f"line {number}: duplicate document {docid!r} for query {qid!r}")
         per_query[docid] = score
-    rankings = {}
+    rankings, cut = {}, {}
     for qid, docs in scored.items():
         ordered = sorted(docs.items(), key=lambda item: (-item[1], item[0]))
         rankings[qid] = tuple(ordered[:EVALUATION_DEPTH])
-    return RunList(rankings)
+        if len(ordered) > EVALUATION_DEPTH:
+            cut[qid] = len(ordered) - EVALUATION_DEPTH
+    return RunList(rankings, cut)
 
 
 def parse_qrels(source: str | Path | Iterable[str]) -> Qrels:
     """Parse graded judgments; one grade per (query, document) pair."""
-    lines = _as_lines(source)
     grades: dict[str, dict[str, int]] = {}
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != 4:
-            raise QrelsParseError(f"line {number}: expected 4 fields, got {len(fields)}")
-        qid, _, docid, grade_text = fields
+    for number, (qid, _, docid, grade_text) in _fields(source, 4, QrelsParseError):
         try:
             grade = int(grade_text)
         except ValueError as exc:
@@ -149,23 +142,16 @@ def parse_qrels(source: str | Path | Iterable[str]) -> Qrels:
     return Qrels(grades)
 
 
-def _as_lines(source: str | Path | Iterable[str]) -> Iterable[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return fh.readlines()
-    return source
-
-
 def average_precision(run: RunList, qrels: Qrels, qid: str) -> float:
     """Mean of precision values at the ranks of retrieved relevant documents."""
-    total_relevant = qrels.relevant_count(qid)
+    judged = qrels.grades.get(qid, {})
+    total_relevant = sum(1 for grade in judged.values() if grade > 0)
     if total_relevant == 0:
         return 0.0
     hits = 0
     precision_sum = 0.0
-    for rank, docid in enumerate(run.ranked_docs(qid), start=1):
-        grade = qrels.grade(qid, docid)
-        if grade is not None and grade > 0:
+    for rank, (docid, _) in enumerate(run.rankings.get(qid, ()), start=1):
+        if judged.get(docid, 0) > 0:
             hits += 1
             precision_sum += hits / rank
     return precision_sum / total_relevant
@@ -179,7 +165,7 @@ def ndcg_at(run: RunList, qrels: Qrels, qid: str, k: int) -> float:
     if ideal == 0.0:
         return 0.0
     actual = 0.0
-    for rank, docid in enumerate(run.ranked_docs(qid)[:k], start=1):
+    for rank, (docid, _) in enumerate(run.rankings.get(qid, ())[:k], start=1):
         gain = judged.get(docid, 0)
         if gain:
             actual += gain / math.log2(rank + 1)
@@ -188,15 +174,16 @@ def ndcg_at(run: RunList, qrels: Qrels, qid: str, k: int) -> float:
 
 def precision_at(run: RunList, qrels: Qrels, qid: str, k: int = 10) -> float:
     """Fraction of the top k that is relevant; short rankings count as misses."""
-    docs = run.ranked_docs(qid)[:k]
-    hits = sum(1 for docid in docs if (qrels.grade(qid, docid) or 0) > 0)
+    judged = qrels.grades.get(qid, {})
+    hits = sum(1 for docid, _ in run.rankings.get(qid, ())[:k] if judged.get(docid, 0) > 0)
     return hits / k
 
 
 def mrr(run: RunList, qrels: Qrels, qid: str) -> float:
     """Reciprocal rank of the first relevant retrieved document, else zero."""
-    for rank, docid in enumerate(run.ranked_docs(qid), start=1):
-        if (qrels.grade(qid, docid) or 0) > 0:
+    judged = qrels.grades.get(qid, {})
+    for rank, (docid, _) in enumerate(run.rankings.get(qid, ()), start=1):
+        if judged.get(docid, 0) > 0:
             return 1.0 / rank
     return 0.0
 
@@ -210,15 +197,16 @@ def bpref(run: RunList, qrels: Qrels, qid: str) -> float:
     are no judged nonrelevant documents every retrieved relevant document
     contributes 1.
     """
-    total_relevant = qrels.relevant_count(qid)
+    judged = qrels.grades.get(qid, {})
+    total_relevant = sum(1 for grade in judged.values() if grade > 0)
     if total_relevant == 0:
         return 0.0
-    total_nonrelevant = qrels.nonrelevant_count(qid)
+    total_nonrelevant = sum(1 for grade in judged.values() if grade == 0)
     bound = min(total_relevant, total_nonrelevant)
     contribution = 0.0
     nonrelevant_above = 0
-    for docid in run.ranked_docs(qid):
-        grade = qrels.grade(qid, docid)
+    for docid, _ in run.rankings.get(qid, ()):
+        grade = judged.get(docid)
         if grade is None:
             continue
         if grade > 0:
@@ -260,7 +248,7 @@ def evaluate_run(run: RunList, qrels: Qrels) -> MetricReport:
     scores zero); a nonempty run sharing no query id with the judgments is
     rejected as a likely input mix-up.
     """
-    judged = qrels.query_ids()
+    judged = sorted(qrels.grades)
     if not judged:
         raise NoOverlapError("judgments contain no queries")
     if run.rankings and not set(judged) & set(run.rankings):

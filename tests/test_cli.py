@@ -427,6 +427,60 @@ class TestUnjudgedRunQueries:
         assert "not scored: 1 (zz)" in outputs["probed stderr"]
 
 
+class TestAbsentJudgedQueries:
+    def test_evaluate_counts_them_and_scores_them_zero(self, tmp_path, capsys):
+        qrels = tmp_path / "qrels.txt"
+        absent = [f"t{n}" for n in range(4, 10)]
+        qrels.write_text(
+            (DATA / "qrels.txt").read_text() + "".join(f"{qid} 0 d1 1\n" for qid in absent)
+        )
+        assert main(["evaluate", "--run", str(DATA / "run.txt"), "--qrels", str(qrels)]) == 0
+        out = capsys.readouterr()
+        assert out.err.splitlines() == [
+            "polyrep: warning: judged queries absent from the run, scored zero: "
+            "6 (t4, t5, t6, t7, t8, ...)"
+        ]
+        rows = [line.split("\t") for line in out.out.splitlines()]
+        assert {qid for qid, _, _ in rows} == {"t1", "t2", "t3", *absent, "all"}
+        assert all(value == "0.0000" for qid, _, value in rows if qid in absent)
+
+
+class TestCutDocuments:
+    @pytest.fixture
+    def deep_run(self, tmp_path):
+        # 1,097 unjudged documents scored below t1's three: 1,100 in all, 100 cut
+        run = tmp_path / "run.txt"
+        run.write_text((DATA / "run.txt").read_text() + "".join(
+            f"t1 Q0 x{n:04d} {n} {-n}.0 t\n" for n in range(1097)
+        ))
+        return run
+
+    def test_evaluate_counts_them_and_writes_the_same_bytes(self, deep_run, capsys):
+        qrels = str(DATA / "qrels.txt")
+        assert main(["evaluate", "--run", str(DATA / "run.txt"), "--qrels", qrels]) == 0
+        plain = capsys.readouterr()
+        assert main(["evaluate", "--run", str(deep_run), "--qrels", qrels]) == 0
+        deep = capsys.readouterr()
+        assert deep.out == plain.out
+        assert deep.err.splitlines() == [
+            "polyrep: warning: documents past depth 1000, not scored: 100 (t1)"
+        ]
+
+    def test_correlate_counts_them(self, deep_run, tmp_path, capsys):
+        assert main(
+            [
+                "correlate",
+                "--topics", str(DATA / "topics.jsonl"),
+                "--run", str(deep_run),
+                "--qrels", str(DATA / "qrels.txt"),
+                "--out", str(tmp_path / "out"),
+            ]
+        ) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "polyrep: warning: documents past depth 1000, not scored: 100 (t1)"
+        ]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

@@ -58,17 +58,18 @@ class TestParseRun:
 
     def test_single_record(self):
         run = parse_run(["q1 Q0 d1 1 2.5 tag"])
-        assert run.ranking("q1") == (("d1", 2.5),)
+        assert run.rankings["q1"] == (("d1", 2.5),)
+        assert run.cut == {}
 
     def test_rank_column_is_ignored_and_recomputed(self):
         run = parse_run(
             ["q1 Q0 low 1 0.5 t", "q1 Q0 high 2 9.5 t", "q1 Q0 mid 3 5.0 t"]
         )
-        assert run.ranked_docs("q1") == ["high", "mid", "low"]
+        assert [docid for docid, _ in run.rankings["q1"]] == ["high", "mid", "low"]
 
     def test_score_ties_break_on_ascending_docid(self):
         run = parse_run(["q1 Q0 b 1 1.0 t", "q1 Q0 a 2 1.0 t"])
-        assert run.ranked_docs("q1") == ["a", "b"]
+        assert [docid for docid, _ in run.rankings["q1"]] == ["a", "b"]
 
     def test_duplicate_document_rejected(self):
         with pytest.raises(RunParseError, match="line 2.*duplicate"):
@@ -85,13 +86,14 @@ class TestParseRun:
     def test_ranking_truncated_to_evaluation_depth(self):
         lines = [f"q1 Q0 d{i:04d} {i} {2000 - i}.0 t" for i in range(1500)]
         run = parse_run(lines)
-        assert len(run.ranking("q1")) == 1000
-        assert run.ranked_docs("q1")[0] == "d0000"
+        assert len(run.rankings["q1"]) == 1000
+        assert run.rankings["q1"][0][0] == "d0000"
+        assert run.cut == {"q1": 500}
 
     def test_file_path_source(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d1 1 1.0 t\n")
-        assert parse_run(path).ranked_docs("q1") == ["d1"]
+        assert parse_run(path).rankings == {"q1": (("d1", 1.0),)}
 
 
 class TestParseQrels:
@@ -100,9 +102,7 @@ class TestParseQrels:
 
     def test_grades_parsed(self):
         qrels = parse_qrels(["q1 0 d1 3", "q1 0 d2 0"])
-        assert qrels.grade("q1", "d1") == 3
-        assert qrels.relevant_count("q1") == 1
-        assert qrels.nonrelevant_count("q1") == 1
+        assert qrels.grades == {"q1": {"d1": 3, "d2": 0}}
 
     def test_duplicate_judgment_rejected(self):
         with pytest.raises(QrelsParseError, match="duplicate"):
