@@ -36,12 +36,10 @@ from .combine import (
 )
 from .evidence import PositiveRule
 from .ireval import (
+    CORRELATION_COLUMNS,
     EVALUATION_DEPTH,
-    METRICS,
-    Component,
     MetricReport,
-    ZeroVarianceError,
-    correlate_components,
+    correlation_table,
     evaluate_run,
     parse_qrels,
     parse_run,
@@ -53,10 +51,6 @@ from .textprep import PrepLevel, tokenize
 _DUMPED_REPRESENTATIONS = TOPIC_FIELDS[1:]  # the four context fields plus keywords
 
 _SHOWN_IDS = 5  # query ids a diagnostic names before eliding the rest
-
-_CORRELATION_COLUMNS = (
-    "level", "operator", "rep_a", "rep_b", "order", "component", "metric", "rho"
-)
 
 
 class CliError(Exception):
@@ -227,49 +221,35 @@ def _evaluate(args: argparse.Namespace) -> MetricReport:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     report = _evaluate(args)
     _write(args, "metrics", lambda: {
-        "per_query": {qid: dict(report.per_query[qid]) for qid in report.query_ids()},
+        "per_query": {qid: dict(report.per_query[qid]) for qid in sorted(report.per_query)},
         "means": dict(report.means),
     }, lambda stream: write_metric_report(report, stream))
     return 0
 
 
-def _plot_filename(result: CombinationResult, component: Component, metric: str) -> str:
-    spec = result.spec
-    parts = [spec.level.value, spec.operator.value, spec.rep_a, spec.rep_b]
-    if spec.operator is FusionOperator.RECOMMENDATION:
-        parts.append(spec.order_label.lower())
-    parts.extend([component.value, metric])
-    return "plot_" + "_".join(parts) + ".tsv"
+def _plot_filename(key: tuple[str, ...]) -> str:
+    level, operator, rep_a, rep_b, order, component, metric = key
+    orders = [order.lower()] if operator == FusionOperator.RECOMMENDATION.value else []
+    return "_".join(["plot", level, operator, rep_a, rep_b, *orders, component, metric]) + ".tsv"
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     results = _matrix(args)
     report = _evaluate(args)
-    cells = [(res, component, metric)
-             for res in results for component in Component for metric in METRICS]
-    rows = []
-    for res, component, metric in cells:
-        spec = res.spec
-        key = (spec.level.value, spec.operator.value, spec.rep_a, spec.rep_b,
-               spec.order_label, component.value, metric)
-        try:
-            rows.append((*key, correlate_components(res, report, component, metric)))
-        except ZeroVarianceError as exc:
-            cell = " ".join(f"{name}={value}" for name, value in zip(_CORRELATION_COLUMNS, key))
-            raise CliError(f"{exc}: {cell}") from exc
+    table = correlation_table(results, report)  # all of it before any file is written
 
     def write_tsv(stream: IO[str]) -> None:
-        stream.write("\t".join(_CORRELATION_COLUMNS) + "\n")
-        for *key, rho in rows:
+        stream.write("\t".join(CORRELATION_COLUMNS) + "\n")
+        for key, _, _, rho in table:
             stream.write("\t".join(key) + f"\t{rho:.4f}\n")
 
     _write(args, "correlations", lambda: {
-        "correlations": [dict(zip(_CORRELATION_COLUMNS, row)) for row in rows]
+        "correlations": [dict(zip(CORRELATION_COLUMNS, (*key, rho))) for key, _, _, rho in table]
     }, write_tsv)
-    for res, component, metric in cells:
+    for key, xs, ys, _ in table:
         buffer = io.StringIO()
-        write_plot_data(res, report, component, metric, buffer)
-        _emit(buffer.getvalue(), args.out, _plot_filename(res, component, metric))
+        write_plot_data(xs, ys, buffer)
+        _emit(buffer.getvalue(), args.out, _plot_filename(key))
     return 0
 
 

@@ -11,10 +11,10 @@ depth, bpref, P@10, NDCG@10 and reciprocal rank (mrr).  Queries without
 relevant judgments score zero and stay in the mean.
 
 :func:`spearman` is the rank correlation used to relate fused-opinion
-components to per-query effectiveness.  Ranks are tie-averaged; because
-averaged ranks are exact half-integers the correlation is evaluated in
-integer arithmetic, so perfectly concordant and perfectly discordant
-inputs return exactly +/-1.0.
+components to per-query effectiveness; :func:`correlation_table` ranks
+each vector once for every cell.  Ranks are tie-averaged; averaged ranks
+are exact half-integers, so the correlation is evaluated in integer
+arithmetic and perfectly concordant and discordant inputs give exactly +/-1.0.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ EVALUATION_DEPTH = 1000
 GRADES = (0, 1, 2, 3)
 
 METRICS = ("map", "ndcg", "bpref", "p10", "ndcg10", "mrr")
+
+#: A correlation row: the seven fields naming its cell, then the correlation.
+CORRELATION_COLUMNS = ("level", "operator", "rep_a", "rep_b", "order", "component", "metric", "rho")
 
 
 class RunParseError(ValueError):
@@ -226,9 +229,6 @@ class MetricReport:
     per_query: Mapping[str, Mapping[str, float]]
     means: Mapping[str, float]
 
-    def query_ids(self) -> list[str]:
-        return sorted(self.per_query)
-
 
 def evaluate_query(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:
     return {
@@ -278,19 +278,11 @@ def _average_ranks_doubled(values: Sequence[float]) -> list[int]:
     return doubled
 
 
-def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Rank correlation with tie-averaged ranks.
-
-    The Pearson correlation of the rank vectors is evaluated exactly in
-    integer arithmetic; only the final quotient is floating point.
-    """
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if len(xs) < 2:
+def _rank_correlation(rx: Sequence[int], ry: Sequence[int]) -> float:
+    """Pearson correlation of two doubled-rank vectors, exact up to the final quotient."""
+    n = len(rx)
+    if n < 2:
         raise ValueError("need at least two observations")
-    n = len(xs)
-    rx = _average_ranks_doubled(xs)
-    ry = _average_ranks_doubled(ys)
     sum_x = sum(rx)
     sum_y = sum(ry)
     covariance = n * sum(a * b for a, b in zip(rx, ry)) - sum_x * sum_y
@@ -303,10 +295,53 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return covariance / math.sqrt(float(variance_x) * float(variance_y))
 
 
-def _component_by_topic(result: CombinationResult, component: Component) -> dict[str, float]:
-    return {
-        topic_id: getattr(opinion, component.value) for topic_id, opinion, _ in result.per_topic
-    }
+def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Rank correlation with tie-averaged ranks, exact in integer arithmetic."""
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    return _rank_correlation(_average_ranks_doubled(xs), _average_ranks_doubled(ys))
+
+
+def correlation_table(
+    results: Sequence[CombinationResult],
+    report: MetricReport,
+    components: Sequence[Component] = tuple(Component),
+    metrics: Sequence[str] = METRICS,
+) -> list[tuple[tuple[str, ...], list[float], list[float], float]]:
+    """Every (result, component, metric) cell, in that order, as (key, xs, ys, rho).
+
+    ``key`` is the cell's first seven :data:`CORRELATION_COLUMNS`; ``xs`` (the
+    measure) and ``ys`` (the component) are in topic-id order, each built and
+    ranked once and shared by the cells that read it; ``rho`` is :func:`spearman`
+    of the two.  A constant rank vector raises :class:`ZeroVarianceError`
+    naming the first such cell.
+    """
+    report_ids = report.per_query.keys()
+    ordered = sorted(report_ids)
+    xs = {metric: [report.per_query[tid][metric] for tid in ordered] for metric in metrics}
+    x_ranks = {metric: _average_ranks_doubled(xs[metric]) for metric in metrics}
+    table = []
+    for result in results:
+        opinions = {topic_id: opinion for topic_id, opinion, _ in result.per_topic}
+        if opinions.keys() != report_ids:
+            raise TopicAlignmentError(
+                f"topic ids disagree: no metrics for {sorted(opinions.keys() - report_ids)}, "
+                f"no combination for {sorted(report_ids - opinions.keys())}"
+            )
+        spec = result.spec
+        for component in components:
+            ys = [getattr(opinions[tid], component.value) for tid in ordered]
+            y_ranks = _average_ranks_doubled(ys)
+            for metric in metrics:
+                key = (spec.level.value, spec.operator.value, spec.rep_a, spec.rep_b,
+                       spec.order_label, component.value, metric)
+                try:
+                    rho = _rank_correlation(x_ranks[metric], y_ranks)
+                except ZeroVarianceError as exc:
+                    cell = " ".join(map("=".join, zip(CORRELATION_COLUMNS, key)))
+                    raise ZeroVarianceError(f"{exc}: {cell}") from None
+                table.append((key, xs[metric], ys, rho))
+    return table
 
 
 def correlate_components(
@@ -322,40 +357,19 @@ def correlate_components(
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    component_by_topic = _component_by_topic(result, component)
-    result_ids = set(component_by_topic)
-    report_ids = set(report.per_query)
-    if result_ids != report_ids:
-        missing_metrics = sorted(result_ids - report_ids)
-        missing_topics = sorted(report_ids - result_ids)
-        raise TopicAlignmentError(
-            f"topic ids disagree: no metrics for {missing_metrics}, "
-            f"no combination for {missing_topics}"
-        )
-    ordered = sorted(result_ids)
-    xs = [report.per_query[tid][metric] for tid in ordered]
-    ys = [component_by_topic[tid] for tid in ordered]
-    return spearman(xs, ys)
+    return correlation_table([result], report, (component,), (metric,))[0][3]
 
 
 def write_metric_report(report: MetricReport, stream: IO[str]) -> None:
     """TSV rows ``qid metric value`` plus ``all metric value`` summaries."""
-    for qid in report.query_ids():
+    for qid in sorted(report.per_query):
         for metric in METRICS:
             stream.write(f"{qid}\t{metric}\t{report.per_query[qid][metric]:.4f}\n")
     for metric in METRICS:
         stream.write(f"all\t{metric}\t{report.means[metric]:.4f}\n")
 
 
-def write_plot_data(
-    result: CombinationResult,
-    report: MetricReport,
-    component: Component,
-    metric: str,
-    stream: IO[str],
-) -> None:
+def write_plot_data(xs: Sequence[float], ys: Sequence[float], stream: IO[str]) -> None:
     """Two-column ``x y`` rows: per-topic measure against opinion component."""
-    component_by_topic = _component_by_topic(result, component)
-    for tid in sorted(component_by_topic):
-        x = report.per_query[tid][metric]
-        stream.write(f"{x:.6f} {component_by_topic[tid]:.6f}\n")
+    for x, y in zip(xs, ys):
+        stream.write(f"{x:.6f} {y:.6f}\n")

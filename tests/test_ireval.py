@@ -244,7 +244,7 @@ class TestEvaluateRun:
         assert report.per_query["t3"]["map"] == 1.0
         assert report.per_query["t3"]["ndcg"] == 1.0
         for metric, mean in report.means.items():
-            values = [report.per_query[qid][metric] for qid in report.query_ids()]
+            values = [report.per_query[qid][metric] for qid in sorted(report.per_query)]
             assert mean == pytest.approx(sum(values) / len(values), abs=TOL)
 
     def test_queries_missing_from_run_score_zero(self):
