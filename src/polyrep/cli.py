@@ -46,7 +46,7 @@ from .ireval import (
     write_metric_report,
     write_plot_data,
 )
-from .textprep import PrepLevel, tokenize
+from .textprep import PrepLevel, tokenize, undecodable
 
 _DUMPED_REPRESENTATIONS = TOPIC_FIELDS[1:]  # the four context fields plus keywords
 
@@ -78,6 +78,8 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError:
+        raise CliError(f"config {undecodable(path)}") from None
     args = []
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -100,6 +102,9 @@ def _parse_levels(text: str) -> list[PrepLevel]:
     levels = [PrepLevel.from_code(code) for code in text.split(",") if code.strip()]
     if not levels:
         raise CliError("at least one preprocessing level is required")
+    for index, level in enumerate(levels):
+        if level in levels[:index]:
+            raise CliError(f"preprocessing level {level.value} is given more than once")
     return levels
 
 

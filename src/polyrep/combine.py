@@ -31,7 +31,7 @@ from .evidence import (
     recommendation_evidence,
 )
 from .opinions import EvidenceCounts, Opinion, consensus, expectation, from_evidence, recommendation
-from .textprep import PrepLevel, TermSet, tokenize
+from .textprep import PrepLevel, TermSet, tokenize, undecodable
 
 #: The four context representations combined pairwise; the keyword
 #: representation always plays the role of the query.
@@ -276,8 +276,11 @@ def parse_topics(lines: Iterable[str]) -> list[Topic]:
 
 
 def load_topics(path: str | Path) -> list[Topic]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_topics(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_topics(fh)
+    except UnicodeDecodeError:
+        raise TopicParseError(undecodable(path)) from None
 
 
 REPORT_HEADER = ("level", "operator", "rep_a", "rep_b", "order", "probability")

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .combine import CombinationResult
+from .textprep import undecodable
 
 #: Evaluation depth: only the strongest-scored documents per query count.
 EVALUATION_DEPTH = 1000
@@ -93,8 +94,11 @@ def _fields(
     ``width`` whitespace-separated fields raises ``error``.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            yield from _fields(fh, width, error)
+        try:
+            with open(source, encoding="utf-8") as fh:
+                yield from _fields(fh, width, error)
+        except UnicodeDecodeError:
+            raise error(undecodable(source)) from None
         return
     for number, line in enumerate(source, start=1):
         fields = line.split()

@@ -5,13 +5,17 @@ and splits on every character that is neither letter nor digit.  Level III
 additionally drops members of the bundled SMART stopword list, and level
 IV Porter-stems the survivors.  Every level returns a deduplicated term
 set; term frequency and order are discarded deliberately.
+
+:func:`undecodable` names the line of an input file that is not UTF-8.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from importlib import resources
 from itertools import groupby
+from pathlib import Path
 
 from .porter import porter_stem
 
@@ -68,3 +72,18 @@ def tokenize(text: str, level: PrepLevel) -> TermSet:
     if level is PrepLevel.STOP:
         return frozenset(terms)
     return frozenset(porter_stem(term) for term in terms)
+
+
+def undecodable(path: str | Path) -> str:
+    """Where the file at ``path`` stops being UTF-8: the path, its 1-based line and the byte.
+
+    Lines end as in text-mode reading, at \\n, \\r or \\r\\n.  The file is read
+    again as bytes, so this is for after a text-mode read of it has failed.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1
+        return f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
+    return f"{path}: not valid UTF-8 when first read"

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from polyrep import ireval
 from polyrep.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -192,6 +193,15 @@ class TestPolyrep:
         out = capsys.readouterr()
         assert out.out == ""
         assert "line 2" in out.err and "duplicate" in out.err
+
+    @pytest.mark.parametrize("levels", ["I,I", "II,III,CASE_PUNCT"])
+    def test_repeated_level_rejected(self, capsys, levels):
+        argv = ["polyrep", "--topics", str(DATA / "topics.jsonl"), "--prep", levels]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        repeated = levels.split(",")[0]
+        assert f"preprocessing level {repeated} is given more than once" in out.err
 
 
 class TestEvaluate:
@@ -384,6 +394,41 @@ class TestCorrelate:
         ) == 1
         assert "q2" in capsys.readouterr().err
 
+    def test_repeated_level_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(
+            [
+                "correlate",
+                "--topics", str(DATA / "topics.jsonl"),
+                "--run", str(DATA / "run.txt"),
+                "--qrels", str(DATA / "qrels.txt"),
+                "--prep", "I,II,I",
+                "--out", str(out),
+            ]
+        ) == 1
+        assert "preprocessing level I is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ranks_each_vector_once(self, tmp_path, monkeypatch):
+        # 6 measure vectors plus 2 component vectors for each of the 72
+        # combinations; ranking per correlation would take 2 x 864.
+        calls = []
+        rank = ireval._average_ranks_doubled
+        monkeypatch.setattr(ireval, "_average_ranks_doubled",
+                            lambda values: calls.append(len(values)) or rank(values))
+        assert main(
+            [
+                "correlate",
+                "--topics", str(DATA / "topics.jsonl"),
+                "--run", str(DATA / "run.txt"),
+                "--qrels", str(DATA / "qrels.txt"),
+                "--prep", "I,II,III,IV",
+                "--out", str(tmp_path / "out"),
+            ]
+        ) == 0
+        assert len(calls) == 6 + 72 * 2
+        assert len(list((tmp_path / "out").iterdir())) == 1 + 72 * 2 * 6
+
 
 class TestUnjudgedRunQueries:
     @pytest.fixture
@@ -552,6 +597,34 @@ class TestConfigFile:
         assert outputs[0] == outputs[1]
         assert main(["polyrep", "--topics", str(DATA / "topics.jsonl"), "--prep", "II"]) == 0
         assert capsys.readouterr().out != outputs[0]
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("role", ["run", "qrels", "topics", "config"])
+    def test_names_the_line_and_the_byte(self, tmp_path, capsys, role):
+        files = {
+            "run": tmp_path / "run.txt",
+            "qrels": tmp_path / "qrels.txt",
+            "topics": tmp_path / "topics.jsonl",
+            "config": tmp_path / "run.conf",
+        }
+        for name in ("run", "qrels", "topics"):
+            source = DATA / files[name].name
+            files[name].write_bytes(source.read_bytes())
+        files["config"].write_bytes(b"# options\r\nprep=II\n")
+        # a new third line holds byte 0xE9; the config's first line ends in \r\n
+        lines = files[role].read_bytes().splitlines(keepends=True)
+        lines[2:2] = [b"caf\xe9\n"]
+        files[role].write_bytes(b"".join(lines))
+        argv = ["correlate", "--topics", str(files["topics"]), "--run", str(files["run"]),
+                "--qrels", str(files["qrels"]), "--config", str(files["config"]),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        prefix = "config " if role == "config" else ""
+        where = f"{prefix}{files[role]}: line 3"
+        assert err == f"polyrep: error: {where}: byte 0xe9 is not valid UTF-8\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Run/qrels parsing, the six effectiveness measures, and rank correlation."""
 
+import io
 import math
 import random
 from pathlib import Path
@@ -9,8 +10,15 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrep.combine import CombinationResult, CombinationSpec, FusionOperator
+from polyrep.combine import (
+    CombinationOrder,
+    CombinationResult,
+    CombinationSpec,
+    FusionOperator,
+)
 from polyrep.ireval import (
+    CORRELATION_COLUMNS,
+    METRICS,
     Component,
     MetricReport,
     NoOverlapError,
@@ -23,6 +31,7 @@ from polyrep.ireval import (
     average_precision,
     bpref,
     correlate_components,
+    correlation_table,
     evaluate_query,
     evaluate_run,
     mrr,
@@ -32,6 +41,7 @@ from polyrep.ireval import (
     precision_at,
     spearman,
     write_metric_report,
+    write_plot_data,
 )
 from polyrep.opinions import Opinion
 from polyrep.textprep import PrepLevel
@@ -447,3 +457,92 @@ class TestCorrelateComponents:
         report = report_with([("t1", 0.1), ("t2", 0.9)])
         with pytest.raises(ValueError, match="metric"):
             correlate_components(result, report, Component.BELIEF, "recall")
+
+
+TABLE_SPECS = (
+    CombinationSpec("information_need", "background", FusionOperator.CONSENSUS, PrepLevel.RAW),
+    CombinationSpec("work_task", "ideal_answer", FusionOperator.RECOMMENDATION, PrepLevel.STEM,
+                    order=CombinationOrder.BA),
+    CombinationSpec("background", "work_task", FusionOperator.CONSENSUS, PrepLevel.STOP),
+)
+
+# few distinct values, so tied and constant vectors are common
+_MASSES = st.sampled_from([0.0, 0.1, 0.25, 0.5])
+_MEASURES = st.sampled_from([0.0, 0.2, 0.5, 1.0])
+
+
+@st.composite
+def table_inputs(draw, min_topics=2, max_topics=6):
+    """Combination results and a metric report over the same topic ids."""
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3),
+                        min_size=min_topics, max_size=max_topics, unique=True))
+    results = []
+    for spec in draw(st.lists(st.sampled_from(TABLE_SPECS), min_size=1, max_size=3)):
+        per_topic = []
+        for tid in draw(st.permutations(ids)):  # not in topic-id order
+            belief, uncertainty = draw(_MASSES), draw(_MASSES)
+            opinion = Opinion(belief, 1.0 - belief - uncertainty, uncertainty, 0.5)
+            per_topic.append((tid, opinion, belief + 0.5 * uncertainty))
+        results.append(CombinationResult(spec, tuple(per_topic), 0.5))
+    per_query = {tid: {metric: draw(_MEASURES) for metric in METRICS} for tid in ids}
+    return results, MetricReport(per_query, {metric: 0.0 for metric in METRICS})
+
+
+def cells_one_by_one(results, report):
+    """Each cell's key and ordered vectors, built on its own for every cell."""
+    for result in results:
+        spec = result.spec
+        for component in Component:
+            for metric in METRICS:
+                by_topic = {tid: getattr(op, component.value) for tid, op, _ in result.per_topic}
+                ordered = sorted(by_topic)
+                key = (spec.level.value, spec.operator.value, spec.rep_a, spec.rep_b,
+                       spec.order_label, component.value, metric)
+                yield (key, [report.per_query[tid][metric] for tid in ordered],
+                       [by_topic[tid] for tid in ordered])
+
+
+class TestCorrelationTable:
+    @settings(max_examples=300, deadline=None)
+    @given(table_inputs())
+    def test_equals_cell_by_cell_reference(self, inputs):
+        results, report = inputs
+        expected = []
+        for key, xs, ys in cells_one_by_one(results, report):
+            try:
+                rho = spearman(xs, ys)
+            except ZeroVarianceError:
+                cell = " ".join(f"{name}={value}" for name, value in zip(CORRELATION_COLUMNS, key))
+                with pytest.raises(ZeroVarianceError) as excinfo:
+                    correlation_table(results, report)
+                assert str(excinfo.value) == (
+                    f"rank correlation undefined for a constant vector: {cell}"
+                )
+                return
+            expected.append((key, rho, "".join(f"{x:.6f} {y:.6f}\n" for x, y in zip(xs, ys))))
+        table = correlation_table(results, report)
+        assert [cell[0] for cell in table] == [key for key, _, _ in expected]
+        for (_, xs, ys, rho), (_, expected_rho, expected_text) in zip(table, expected):
+            assert rho == expected_rho
+            buffer = io.StringIO()
+            write_plot_data(xs, ys, buffer)
+            assert buffer.getvalue() == expected_text
+
+    @settings(max_examples=100, deadline=None)
+    @given(table_inputs(), st.booleans())
+    def test_misaligned_ids_rejected(self, inputs, drop):
+        results, report = inputs
+        per_query = dict(report.per_query)
+        if drop:
+            del per_query[min(per_query)]
+        else:
+            per_query["extra"] = per_query[min(per_query)]
+        with pytest.raises(TopicAlignmentError):
+            correlation_table(results, MetricReport(per_query, report.means))
+
+    @settings(max_examples=50, deadline=None)
+    @given(table_inputs(min_topics=1, max_topics=1))
+    def test_single_topic_needs_two_observations(self, inputs):
+        results, report = inputs
+        with pytest.raises(ValueError, match="need at least two observations"):
+            correlation_table(results, report)
