@@ -46,7 +46,7 @@ from .ireval import (
     write_metric_report,
     write_plot_data,
 )
-from .textprep import PrepLevel, tokenize, undecodable
+from .textprep import PrepLevel, term_sets, undecodable
 
 _DUMPED_REPRESENTATIONS = TOPIC_FIELDS[1:]  # the four context fields plus keywords
 
@@ -151,13 +151,12 @@ def _matrix(args: argparse.Namespace) -> list[CombinationResult]:
 def cmd_prep(args: argparse.Namespace) -> int:
     topics = load_topics(args.topics)
     levels = _parse_levels(args.prep)
-    rows = [
-        (topic.id, representation, level.value,
-         sorted(tokenize(getattr(topic, representation), level)))
-        for topic in topics
-        for representation in _DUMPED_REPRESENTATIONS
-        for level in levels
-    ]
+    rows = []
+    for topic in topics:
+        for representation in _DUMPED_REPRESENTATIONS:
+            sets = term_sets(getattr(topic, representation), levels)
+            rows.extend((topic.id, representation, level.value, sorted(sets[level]))
+                        for level in levels)
 
     def write_tsv(stream: IO[str]) -> None:
         stream.write("topic\trepresentation\tlevel\tterms\n")

@@ -31,7 +31,7 @@ from .evidence import (
     recommendation_evidence,
 )
 from .opinions import EvidenceCounts, Opinion, consensus, expectation, from_evidence, recommendation
-from .textprep import PrepLevel, TermSet, tokenize, undecodable
+from .textprep import PrepLevel, TermSet, term_sets, tokenize, undecodable
 
 #: The four context representations combined pairwise; the keyword
 #: representation always plays the role of the query.
@@ -126,11 +126,6 @@ class CombinationResult:
     aggregate_probability: float
 
 
-def _term_sets(topic: Topic, level: PrepLevel, reps: Sequence[str]) -> dict[str, TermSet]:
-    """Term sets of the keywords (the query) and of each named representation."""
-    return {name: tokenize(getattr(topic, name), level) for name in ("keywords", *reps)}
-
-
 def _evidence(sets: dict[str, TermSet], spec: CombinationSpec) -> EvidencePair:
     set_a, set_b, query = sets[spec.rep_a], sets[spec.rep_b], sets["keywords"]
     if spec.operator is FusionOperator.CONSENSUS:
@@ -140,12 +135,11 @@ def _evidence(sets: dict[str, TermSet], spec: CombinationSpec) -> EvidencePair:
 
 def topic_evidence(topic: Topic, spec: CombinationSpec) -> EvidencePair:
     """Extract the (rep_a, rep_b) evidence counts for one topic."""
-    return _evidence(_term_sets(topic, spec.level, (spec.rep_a, spec.rep_b)), spec)
+    names = ("keywords", spec.rep_a, spec.rep_b)
+    return _evidence({name: tokenize(getattr(topic, name), spec.level) for name in names}, spec)
 
 
-def _fuse(pair: EvidencePair, spec: CombinationSpec) -> Opinion:
-    opinion_a = from_evidence(pair.for_a, spec.alpha)
-    opinion_b = from_evidence(pair.for_b, spec.alpha)
+def _fuse(opinion_a: Opinion, opinion_b: Opinion, spec: CombinationSpec) -> Opinion:
     if spec.operator is FusionOperator.CONSENSUS:
         return consensus(opinion_a, opinion_b)
     if spec.order is CombinationOrder.AB:
@@ -155,7 +149,8 @@ def _fuse(pair: EvidencePair, spec: CombinationSpec) -> Opinion:
 
 def combine_topic(topic: Topic, spec: CombinationSpec) -> tuple[Opinion, float]:
     """Fuse one topic's pair of representations; returns (opinion, expectation)."""
-    fused = _fuse(topic_evidence(topic, spec), spec)
+    pair = topic_evidence(topic, spec)
+    fused = _fuse(from_evidence(pair.for_a, spec.alpha), from_evidence(pair.for_b, spec.alpha), spec)
     return fused, expectation(fused)
 
 
@@ -190,33 +185,56 @@ def run_matrix(
     """Evaluate every combination cell for every level over all topics.
 
     Results come in matrix order: levels as given, consensus pairs then
-    recommendation pairs.  Per level, each topic's five term sets are built
-    once, feed all 18 cells and are dropped before the next topic.
+    recommendation pairs.  Each topic's five texts are tokenized once for
+    all levels, each level built from the one below, and dropped before the
+    next topic.  Per level, each pair of representations gets one consensus
+    and one recommendation evidence, which its AB and BA cells share, and
+    each distinct evidence count becomes an opinion once per call.
     """
-    topics = list(topics)
+    topics, levels = list(topics), list(levels)
     if not topics:
         raise EmptyTopicListError("at least one topic is required")
-    results = []
-    for level in levels:
-        specs = matrix_specs(level, alpha, positive_rule)
-        per_topic: list[list[tuple[str, Opinion, float]]] = [[] for _ in specs]
-        pooled = [[0, 0, 0, 0] for _ in specs]  # positive/negative for a, then b
-        for topic in topics:
-            sets = _term_sets(topic, level, REPRESENTATIONS)
-            for spec, entries, sums in zip(specs, per_topic, pooled):
-                pair = _evidence(sets, spec)
-                fused = _fuse(pair, spec)
+    # Per level, one (spec, per-topic entries, pooled sums) triple per cell;
+    # the sums are positive/negative for a, then b.
+    table = [
+        (level, [(spec, [], [0, 0, 0, 0]) for spec in matrix_specs(level, alpha, positive_rule)])
+        for level in levels
+    ]
+    opinions: dict[EvidenceCounts, Opinion] = {}
+
+    def opinion(counts: EvidenceCounts) -> Opinion:
+        found = opinions.get(counts)
+        if found is None:
+            found = opinions[counts] = from_evidence(counts, alpha)
+        return found
+
+    for topic in topics:
+        by_text = {name: term_sets(getattr(topic, name), levels)
+                   for name in ("keywords", *REPRESENTATIONS)}
+        for level, cells in table:
+            sets = {name: level_sets[level] for name, level_sets in by_text.items()}
+            shared: dict[tuple, tuple[EvidencePair, Opinion, Opinion]] = {}
+            for spec, entries, sums in cells:
+                key = (spec.rep_a, spec.rep_b, spec.operator)
+                if key not in shared:
+                    pair = _evidence(sets, spec)
+                    shared[key] = pair, opinion(pair.for_a), opinion(pair.for_b)
+                pair, opinion_a, opinion_b = shared[key]
+                fused = _fuse(opinion_a, opinion_b, spec)
                 entries.append((topic.id, fused, expectation(fused)))
                 sums[0] += pair.for_a.positive
                 sums[1] += pair.for_a.negative
                 sums[2] += pair.for_b.positive
                 sums[3] += pair.for_b.negative
-        for spec, entries, (pos_a, neg_a, pos_b, neg_b) in zip(specs, per_topic, pooled):
+    results = []
+    for _, cells in table:
+        for spec, entries, (pos_a, neg_a, pos_b, neg_b) in cells:
             if mode is AggregationMode.MACRO:
                 aggregate = sum(entry[2] for entry in entries) / len(entries)
             else:
-                pair = EvidencePair(EvidenceCounts(pos_a, neg_a), EvidenceCounts(pos_b, neg_b))
-                aggregate = expectation(_fuse(pair, spec))
+                fused = _fuse(opinion(EvidenceCounts(pos_a, neg_a)),
+                              opinion(EvidenceCounts(pos_b, neg_b)), spec)
+                aggregate = expectation(fused)
             results.append(CombinationResult(spec, tuple(entries), aggregate))
     return results
 

@@ -33,7 +33,7 @@ class DogmaticConflictError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Opinion:
     """A validated (belief, disbelief, uncertainty, base_rate) quadruple."""
 
@@ -56,7 +56,7 @@ class Opinion:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceCounts:
     """Nonnegative counts of supporting and opposing evidence."""
 

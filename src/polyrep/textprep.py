@@ -4,7 +4,10 @@ Level I keeps whitespace-separated tokens verbatim.  Level II lowercases
 and splits on every character that is neither letter nor digit.  Level III
 additionally drops members of the bundled SMART stopword list, and level
 IV Porter-stems the survivors.  Every level returns a deduplicated term
-set; term frequency and order are discarded deliberately.
+set; term frequency and order are discarded deliberately.  Levels III and
+IV are built from the set one level down (:func:`term_sets` builds a
+text's levels in that cascade), so a text is split once however many
+levels are asked for.
 
 :func:`undecodable` names the line of an input file that is not UTF-8.
 """
@@ -16,6 +19,7 @@ import re
 from importlib import resources
 from itertools import groupby
 from pathlib import Path
+from typing import Collection
 
 from .porter import porter_stem
 
@@ -61,17 +65,49 @@ def _alnum_tokens(text: str) -> list[str]:
     ]
 
 
-def tokenize(text: str, level: PrepLevel) -> TermSet:
-    """Produce the deduplicated term set of ``text`` at a preprocessing level."""
+def _step(text: str, level: PrepLevel, below: TermSet | None) -> TermSet:
+    # Levels I and II read the text; III and IV read the set one level down.
     if level is PrepLevel.RAW:
         return frozenset(text.split())
-    terms = _alnum_tokens(text.lower())
     if level is PrepLevel.CASE_PUNCT:
-        return frozenset(terms)
-    terms = [term for term in terms if term not in _STOPWORDS]
+        return frozenset(_alnum_tokens(text.lower()))
     if level is PrepLevel.STOP:
-        return frozenset(terms)
-    return frozenset(porter_stem(term) for term in terms)
+        return below - _STOPWORDS
+    return frozenset(porter_stem(term) for term in below)
+
+
+_CASCADE = (PrepLevel.CASE_PUNCT, PrepLevel.STOP, PrepLevel.STEM)
+
+
+def tokenize(text: str, level: PrepLevel, below: TermSet | None = None) -> TermSet:
+    """Produce the deduplicated term set of ``text`` at a preprocessing level.
+
+    ``below``, if given, is the term set of the same ``text`` one level
+    down; level III is then ``below`` minus the stopwords and level IV the
+    stems of ``below``, so the text is not split again.  Levels I and II
+    read the text and take no ``below``.
+    """
+    if level in (PrepLevel.RAW, PrepLevel.CASE_PUNCT):
+        if below is not None:
+            raise ValueError(f"level {level.value} reads the text, not a term set from below")
+    elif below is None:
+        for step in _CASCADE[: _CASCADE.index(level)]:
+            below = _step(text, step, below)
+    return _step(text, level, below)
+
+
+def term_sets(text: str, levels: Collection[PrepLevel]) -> dict[PrepLevel, TermSet]:
+    """The term sets of ``text`` at each of ``levels``, each built from the level below.
+
+    Levels II up to the highest one asked for are built once each, on the
+    way; level I only when asked for, and nothing above the highest.
+    """
+    sets = {PrepLevel.RAW: tokenize(text, PrepLevel.RAW)} if PrepLevel.RAW in levels else {}
+    top = max((_CASCADE.index(level) + 1 for level in levels if level in _CASCADE), default=0)
+    below = None
+    for level in _CASCADE[:top]:
+        below = sets[level] = tokenize(text, level, below)
+    return sets
 
 
 def undecodable(path: str | Path) -> str:

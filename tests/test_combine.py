@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyrep import combine, textprep
 from polyrep.combine import (
     AggregationMode,
     CombinationOrder,
@@ -287,13 +288,43 @@ class TestRunMatrixOracle:
     @settings(max_examples=40, deadline=None)
     @given(
         topics=topic_lists(),
-        levels=st.permutations(ALL_LEVELS),
+        levels=st.lists(st.sampled_from(ALL_LEVELS), min_size=1, max_size=4, unique=True),
         alpha=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_equals_cell_by_cell_reference(self, rule, mode, topics, levels, alpha):
         assert run_matrix(topics, levels, alpha, rule, mode) == reference_matrix(
             topics, levels, alpha, rule, mode
         )
+
+
+class TestRunMatrixWork:
+    def test_each_quantity_is_computed_once(self, fixture_topics, monkeypatch):
+        calls = {}
+
+        def count(name, *modules):
+            # Wrapped wherever run_matrix may look the function up.
+            function = getattr(modules[0], name)
+            calls[name] = []
+            for module in modules:
+                monkeypatch.setattr(module, name,
+                                    lambda *args: calls[name].append(args) or function(*args))
+
+        for name in ("consensus_evidence", "recommendation_evidence", "from_evidence"):
+            count(name, combine)
+        count("tokenize", textprep, combine)
+        results = run_matrix(fixture_topics, ALL_LEVELS)
+        cells = len(fixture_topics) * len(ALL_LEVELS)
+        # One call per (text, level): the keywords and four representations.
+        assert len(calls["tokenize"]) == 5 * cells
+        # One consensus and one recommendation evidence for each of the six
+        # pairs, where one per cell would be 18.
+        assert len(calls["consensus_evidence"]) == 6 * cells
+        assert len(calls["recommendation_evidence"]) == 6 * cells
+        counts = [(evidence.positive, evidence.negative) for evidence, _ in calls["from_evidence"]]
+        assert len(counts) == len(set(counts))
+        opinion = results[0].per_topic[0][1]
+        assert not hasattr(opinion, "__dict__")
+        assert not hasattr(EvidenceCounts(1, 2), "__dict__")
 
 
 class TestRanking:

@@ -3,10 +3,12 @@
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrep.textprep import PrepLevel, is_stopword, tokenize
+from polyrep import textprep
+from polyrep.porter import porter_stem
+from polyrep.textprep import PrepLevel, is_stopword, term_sets, tokenize
 
 texts = st.text(
     alphabet=st.characters(codec="ascii", categories=["L", "N", "P", "Z"]),
@@ -114,3 +116,79 @@ class TestProperties:
         once = tokenize("experimental", PrepLevel.STEM)
         assert once == {"experiment"}
         assert tokenize(" ".join(once), PrepLevel.STEM) == {"experi"}
+
+
+_STOPLIST = sorted(
+    (resources.files("polyrep") / "data" / "smart_stopwords.txt").read_text().split()
+)
+# Stopwords in mixed case (some stem to non-stopwords: "was" -> "wa"), words
+# that stem, letters and digits from any script, punctuation, underscores
+# and whitespace.
+_pieces = st.one_of(
+    st.sampled_from(_STOPLIST).flatmap(
+        lambda word: st.sampled_from([word, word.upper(), word.capitalize()])
+    ),
+    st.sampled_from(["running", "Ponies", "generalizations", "HOPING", "caresses"]),
+    st.text(alphabet=st.characters(categories=["L", "N"]), min_size=1, max_size=6),
+    st.text(alphabet=st.characters(categories=["P", "S", "Z"], include_characters="_\t"),
+            min_size=1, max_size=3),
+)
+cascade_texts = st.lists(_pieces, max_size=12).map("".join)
+
+
+def _token_list_pipeline(text, level):
+    """The levels as one pass over the token list: split, drop stopwords, stem."""
+    if level is PrepLevel.RAW:
+        return frozenset(text.split())
+    terms = textprep._alnum_tokens(text.lower())
+    if level is not PrepLevel.CASE_PUNCT:
+        terms = [term for term in terms if not is_stopword(term)]
+    if level is PrepLevel.STEM:
+        terms = [porter_stem(term) for term in terms]
+    return frozenset(terms)
+
+
+class TestCascade:
+    @settings(max_examples=300)
+    @given(cascade_texts)
+    def test_each_level_builds_on_the_one_below(self, text):
+        case_punct = tokenize(text, PrepLevel.CASE_PUNCT)
+        stop = tokenize(text, PrepLevel.STOP)
+        assert tokenize(text, PrepLevel.STOP, case_punct) == stop
+        assert tokenize(text, PrepLevel.STEM, stop) == tokenize(text, PrepLevel.STEM)
+        for level in PrepLevel:
+            assert tokenize(text, level) == _token_list_pipeline(text, level)
+        assert term_sets(text, list(PrepLevel)) == {
+            level: _token_list_pipeline(text, level) for level in PrepLevel
+        }
+
+    @pytest.mark.parametrize(
+        "levels, built",
+        [
+            ([PrepLevel.RAW], [PrepLevel.RAW]),
+            ([PrepLevel.CASE_PUNCT, PrepLevel.RAW], [PrepLevel.RAW, PrepLevel.CASE_PUNCT]),
+            ([PrepLevel.STOP], [PrepLevel.CASE_PUNCT, PrepLevel.STOP]),
+            ([PrepLevel.STEM], [PrepLevel.CASE_PUNCT, PrepLevel.STOP, PrepLevel.STEM]),
+            ([PrepLevel.STEM, PrepLevel.RAW], list(PrepLevel)),
+        ],
+    )
+    def test_builds_up_to_the_highest_level_only(self, levels, built, monkeypatch):
+        text = "Colliding ponies stemmed the tide, and the ponies ran."
+        calls = []
+        monkeypatch.setattr(textprep, "tokenize",
+                            lambda *args: calls.append(args[1]) or tokenize(*args))
+        stems = []
+        monkeypatch.setattr(textprep, "porter_stem",
+                            lambda word: stems.append(word) or porter_stem(word))
+        sets = term_sets(text, levels)
+        assert calls == built
+        assert list(sets) == built
+        # Stemming reads the deduplicated level-III set, not the token list.
+        assert sorted(stems) == (
+            sorted(sets[PrepLevel.STOP]) if PrepLevel.STEM in levels else []
+        )
+
+    @pytest.mark.parametrize("level", [PrepLevel.RAW, PrepLevel.CASE_PUNCT])
+    def test_levels_that_read_the_text_refuse_a_set_from_below(self, level):
+        with pytest.raises(ValueError, match=f"level {level.value} reads the text"):
+            tokenize("a b", level, frozenset({"a"}))
