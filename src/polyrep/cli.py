@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import IO, Callable
 
 from .combine import (
+    REPORT_HEADER,
     TOPIC_FIELDS,
     AggregationMode,
     CombinationResult,
@@ -46,7 +47,7 @@ from .ireval import (
     write_metric_report,
     write_plot_data,
 )
-from .textprep import PrepLevel, term_sets, undecodable
+from .textprep import PrepLevel, reading, term_sets
 
 _DUMPED_REPRESENTATIONS = TOPIC_FIELDS[1:]  # the four context fields plus keywords
 
@@ -75,13 +76,12 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
     if path is None:
         return []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with reading(path, lambda where: CliError(f"config {where}")) as fh:
+            lines = list(fh)
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
-    except UnicodeDecodeError:
-        raise CliError(f"config {undecodable(path)}") from None
     args = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -180,14 +180,8 @@ def cmd_polyrep(args: argparse.Namespace) -> int:
 
 
 def _result_record(result: CombinationResult) -> dict:
-    spec = result.spec
     return {
-        "level": spec.level.value,
-        "operator": spec.operator.value,
-        "rep_a": spec.rep_a,
-        "rep_b": spec.rep_b,
-        "order": spec.order_label,
-        "probability": result.aggregate_probability,
+        **dict(zip(REPORT_HEADER, (*result.spec.label, result.aggregate_probability))),
         "per_topic": [
             {
                 "topic": topic_id,

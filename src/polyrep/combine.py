@@ -31,7 +31,7 @@ from .evidence import (
     recommendation_evidence,
 )
 from .opinions import EvidenceCounts, Opinion, consensus, expectation, from_evidence, recommendation
-from .textprep import PrepLevel, TermSet, term_sets, tokenize, undecodable
+from .textprep import PrepLevel, TermSet, reading, term_sets, tokenize
 
 #: The four context representations combined pairwise; the keyword
 #: representation always plays the role of the query.
@@ -83,8 +83,8 @@ class Topic:
     keywords: str
 
     def __post_init__(self) -> None:
-        if not self.id.strip():
-            raise ValueError("topic id must be nonempty")
+        if self.id.split() != [self.id]:
+            raise ValueError(f"topic id {self.id!r} must be one token without whitespace")
         if not self.keywords.strip():
             raise ValueError(f"topic {self.id!r}: keywords must be nonempty")
 
@@ -117,6 +117,14 @@ class CombinationSpec:
         if self.operator is FusionOperator.CONSENSUS:
             return "-"
         return self.order.value  # type: ignore[union-attr]
+
+    @property
+    def label(self) -> tuple[str, str, str, str, str]:
+        """The five strings naming this cell in every report.
+
+        They are its level, operator, rep_a, rep_b and order, as in :data:`REPORT_HEADER`.
+        """
+        return (self.level.value, self.operator.value, self.rep_a, self.rep_b, self.order_label)
 
 
 @dataclass(frozen=True)
@@ -243,16 +251,8 @@ def rank_combinations(results: Sequence[CombinationResult]) -> list[CombinationR
     """Order results by descending probability; ties resolve lexicographically."""
     if not results:
         raise ValueError("no combination results to rank")
-    return sorted(
-        results,
-        key=lambda res: (
-            -res.aggregate_probability,
-            res.spec.operator.value,
-            res.spec.rep_a,
-            res.spec.rep_b,
-            res.spec.order_label,
-        ),
-    )
+    # the label without its level: operator, rep_a, rep_b, order
+    return sorted(results, key=lambda res: (-res.aggregate_probability, *res.spec.label[1:]))
 
 
 def parse_topics(lines: Iterable[str]) -> list[Topic]:
@@ -294,11 +294,8 @@ def parse_topics(lines: Iterable[str]) -> list[Topic]:
 
 
 def load_topics(path: str | Path) -> list[Topic]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_topics(fh)
-    except UnicodeDecodeError:
-        raise TopicParseError(undecodable(path)) from None
+    with reading(path, TopicParseError) as lines:
+        return parse_topics(lines)
 
 
 REPORT_HEADER = ("level", "operator", "rep_a", "rep_b", "order", "probability")
@@ -317,27 +314,15 @@ def write_report(
     """
     header = REPORT_HEADER + (("best",) if mark_best else ())
     stream.write("\t".join(header) + "\n")
-    best_keys = set()
+    column_max: dict[tuple[str, ...], float] = {}  # keyed on the label without the pair
     if mark_best:
-        column_max: dict[tuple, float] = {}
         for res in results:
-            key = (res.spec.level, res.spec.operator, res.spec.order_label)
-            value = column_max.get(key)
-            if value is None or res.aggregate_probability > value:
-                column_max[key] = res.aggregate_probability
-        for res in results:
-            key = (res.spec.level, res.spec.operator, res.spec.order_label)
-            if res.aggregate_probability == column_max[key]:
-                best_keys.add(id(res))
+            label, value = res.spec.label, res.aggregate_probability
+            key = label[:2] + label[4:]
+            column_max[key] = max(column_max.get(key, value), value)
     for res in results:
-        row = [
-            res.spec.level.value,
-            res.spec.operator.value,
-            res.spec.rep_a,
-            res.spec.rep_b,
-            res.spec.order_label,
-            f"{res.aggregate_probability:.4f}",
-        ]
+        label, value = res.spec.label, res.aggregate_probability
+        row = [*label, f"{value:.4f}"]
         if mark_best:
-            row.append("*" if id(res) in best_keys else "")
+            row.append("*" if value == column_max[label[:2] + label[4:]] else "")
         stream.write("\t".join(row) + "\n")

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .combine import CombinationResult
-from .textprep import undecodable
+from .combine import REPORT_HEADER, CombinationResult
+from .textprep import reading
 
 #: Evaluation depth: only the strongest-scored documents per query count.
 EVALUATION_DEPTH = 1000
@@ -36,7 +36,7 @@ GRADES = (0, 1, 2, 3)
 METRICS = ("map", "ndcg", "bpref", "p10", "ndcg10", "mrr")
 
 #: A correlation row: the seven fields naming its cell, then the correlation.
-CORRELATION_COLUMNS = ("level", "operator", "rep_a", "rep_b", "order", "component", "metric", "rho")
+CORRELATION_COLUMNS = REPORT_HEADER[:5] + ("component", "metric", "rho")
 
 
 class RunParseError(ValueError):
@@ -93,20 +93,14 @@ def _fields(
     A path is read lazily, one line at a time; a line without exactly
     ``width`` whitespace-separated fields raises ``error``.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                yield from _fields(fh, width, error)
-        except UnicodeDecodeError:
-            raise error(undecodable(source)) from None
-        return
-    for number, line in enumerate(source, start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != width:
-            raise error(f"line {number}: expected {width} fields, got {len(fields)}")
-        yield number, fields
+    with reading(source, error) as lines:
+        for number, line in enumerate(lines, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != width:
+                raise error(f"line {number}: expected {width} fields, got {len(fields)}")
+            yield number, fields
 
 
 def parse_run(source: str | Path | Iterable[str]) -> RunList:
@@ -332,13 +326,12 @@ def correlation_table(
                 f"topic ids disagree: no metrics for {sorted(opinions.keys() - report_ids)}, "
                 f"no combination for {sorted(report_ids - opinions.keys())}"
             )
-        spec = result.spec
+        label = result.spec.label
         for component in components:
             ys = [getattr(opinions[tid], component.value) for tid in ordered]
             y_ranks = _average_ranks_doubled(ys)
             for metric in metrics:
-                key = (spec.level.value, spec.operator.value, spec.rep_a, spec.rep_b,
-                       spec.order_label, component.value, metric)
+                key = label + (component.value, metric)
                 try:
                     rho = _rank_correlation(x_ranks[metric], y_ranks)
                 except ZeroVarianceError as exc:

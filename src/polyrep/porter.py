@@ -65,11 +65,14 @@ def _ends_cvc(word: str) -> bool:
 
 
 def _apply_table(word: str, rules, minimum_measure: int) -> str:
-    """Rewrite by the longest matching suffix, gated on the stem's measure."""
+    """Rewrite by the longest matching suffix, gated on the stem's measure.
+
+    The suffix "ion" (step 4) also needs a stem that ends in s or t.
+    """
     for suffix, replacement in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
-            if _measure(stem) > minimum_measure:
+            if (suffix != "ion" or stem.endswith(("s", "t"))) and _measure(stem) > minimum_measure:
                 return stem + replacement
             return word
     return word
@@ -162,24 +165,12 @@ _STEP_4_RULES = (
     ("ous", ""),
     ("ive", ""),
     ("ize", ""),
-    ("ion", ""),  # handled separately: stem must end in s or t
+    ("ion", ""),  # the stem must also end in s or t
     ("al", ""),
     ("er", ""),
     ("ic", ""),
     ("ou", ""),
 )
-
-
-def _step_4(word: str) -> str:
-    for suffix, _ in _STEP_4_RULES:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if suffix == "ion" and not stem.endswith(("s", "t")):
-                return word
-            if _measure(stem) > 1:
-                return stem
-            return word
-    return word
 
 
 def _step_5a(word: str) -> str:
@@ -213,7 +204,7 @@ def porter_stem(word: str) -> str:
     word = _step_1c(word)
     word = _apply_table(word, _STEP_2_RULES, 0)
     word = _apply_table(word, _STEP_3_RULES, 0)
-    word = _step_4(word)
+    word = _apply_table(word, _STEP_4_RULES, 1)
     word = _step_5a(word)
     word = _step_5b(word)
     return word

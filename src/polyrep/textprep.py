@@ -9,17 +9,19 @@ IV are built from the set one level down (:func:`term_sets` builds a
 text's levels in that cascade), so a text is split once however many
 levels are asked for.
 
-:func:`undecodable` names the line of an input file that is not UTF-8.
+:func:`reading` opens every input file the package reads: topics, runs,
+judgments and config files alike.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from contextlib import contextmanager
 from importlib import resources
 from itertools import groupby
 from pathlib import Path
-from typing import Collection
+from typing import Callable, Collection, Iterable, Iterator
 
 from .porter import porter_stem
 
@@ -110,16 +112,28 @@ def term_sets(text: str, levels: Collection[PrepLevel]) -> dict[PrepLevel, TermS
     return sets
 
 
-def undecodable(path: str | Path) -> str:
-    """Where the file at ``path`` stops being UTF-8: the path, its 1-based line and the byte.
+@contextmanager
+def reading(
+    source: str | Path | Iterable[str], error: Callable[[str], Exception]
+) -> Iterator[Iterable[str]]:
+    """The lines of ``source``: a path is opened as UTF-8, other lines come back unchanged.
 
-    Lines end as in text-mode reading, at \\n, \\r or \\r\\n.  The file is read
-    again as bytes, so this is for after a text-mode read of it has failed.
+    A leading byte order mark is dropped and lines end at \\n, \\r or \\r\\n.
+    Bytes that are not UTF-8, met while the caller iterates in its ``with``
+    body, raise ``error`` with the path, the 1-based line and the byte.
     """
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1
-        return f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
-    return f"{path}: not valid UTF-8 when first read"
+    if not isinstance(source, (str, Path)):
+        yield source
+        return
+    with open(source, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # each byte that is not UTF-8 becomes one lone surrogate, U+DC80..U+DCFF
+            text = Path(source).read_bytes().decode("utf-8", "surrogateescape")
+            bad = re.search("[\udc80-\udcff]", text)
+            if bad is None:
+                raise error(f"{source}: not valid UTF-8 when first read") from None
+            line = len(re.findall(r"\r\n?|\n", text[: bad.start()])) + 1
+            raise error(f"{source}: line {line}: byte 0x{ord(bad.group()) - 0xDC00:02x} "
+                        "is not valid UTF-8") from None

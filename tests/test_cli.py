@@ -627,6 +627,53 @@ class TestUndecodableInput:
         assert not (tmp_path / "out").exists()
 
 
+class TestByteOrderMark:
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exited:
+            code = exited.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("role", ["run", "qrels", "topics", "config"])
+    def test_a_leading_mark_is_dropped(self, tmp_path, capsys, role):
+        outputs = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            files = {
+                "run": tmp_path / name / "run.txt",
+                "qrels": tmp_path / name / "qrels.txt",
+                "topics": tmp_path / name / "topics.jsonl",
+                "config": tmp_path / name / "run.conf",
+            }
+            files["run"].parent.mkdir()
+            for key in ("run", "qrels", "topics"):
+                files[key].write_bytes(mark * (key == role) + (DATA / files[key].name).read_bytes())
+            config = f"topics={files['topics']}\nprep=II\n".encode()
+            files["config"].write_bytes(mark * (role == "config") + config)
+            if role in ("run", "qrels"):
+                argv = ["evaluate", "--run", str(files["run"]), "--qrels", str(files["qrels"])]
+            elif role == "topics":
+                argv = ["polyrep", "--topics", str(files["topics"])]
+            else:
+                argv = ["polyrep", "--config", str(files["config"])]
+            outputs.append(self.outcome(argv, capsys))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
+
+class TestConfigLineEnds:
+    def test_only_newline_and_carriage_return_end_a_line(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        # \v ends a line for str.splitlines, not for a file read in text mode
+        config.write_text(f"topics={DATA / 'topics.jsonl'}\nprep=II\x0bformat=obj\n")
+        assert main(["polyrep", "--config", str(config)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "polyrep: error: unknown preprocessing level 'II\\x0bformat=obj'\n"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["tsv", "obj"])
     def test_polyrep_is_byte_stable(self, fmt, capsys):

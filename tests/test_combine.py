@@ -1,6 +1,7 @@
 """Per-topic combination, the matrix runner, ranking and topic parsing."""
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,17 @@ class TestTopicParsing:
         lines = [record.format(qid="t1"), "", record.format(qid="t2"), record.format(qid="t1")]
         with pytest.raises(TopicParseError, match=r"line 4: duplicate topic id 't1' .*line 1"):
             parse_topics(lines)
+
+    @pytest.mark.parametrize("topic_id", ["", " ", "t\t1", "t 1", " t1", "t1\n", "t\u20281"])
+    def test_id_with_whitespace_rejected_naming_the_line(self, topic_id):
+        record = (
+            '{{"id": {qid}, "information_need": "a", "background": "b", '
+            '"work_task": "c", "ideal_answer": "d", "keywords": "e"}}'
+        )
+        lines = [record.format(qid='"t0"'), record.format(qid=json.dumps(topic_id))]
+        with pytest.raises(TopicParseError, match=r"^line 2: topic id .* must be one token"):
+            parse_topics(lines)
+        assert [topic.id for topic in parse_topics(lines[:1])] == ["t0"]
 
 
 class TestReport:

@@ -2,8 +2,8 @@
 
 Records are written with random whitespace between and around fields and
 with blank lines between them; parsing a list of the lines, a one-shot
-generator over them and a file holding them must each give back exactly
-the records written.
+generator over them, a file holding them and the same file with a leading
+byte order mark must each give back exactly the records written.
 """
 
 import json
@@ -40,13 +40,17 @@ def written(draw, records):
 
 
 def sources(lines):
-    """The same lines as a list, as a one-shot generator and as a file path."""
+    """The same lines as a list, as a one-shot generator, as a file path and as a
+    path to a file that starts with a byte order mark."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "input.txt"
         path.write_text("".join(lines), encoding="utf-8")
+        marked = Path(directory) / "marked.txt"
+        marked.write_text("".join(lines), encoding="utf-8-sig")
         yield lines
         yield (line for line in lines)
         yield path
+        yield marked
 
 
 def query_doc_pairs(draw):
@@ -74,7 +78,7 @@ def qrels_files(draw):
 topic_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 topic_records = st.fixed_dictionaries(
     {name: topic_text for name in TOPIC_FIELDS}
-    | {"id": topic_text.filter(str.strip), "keywords": topic_text.filter(str.strip)}
+    | {"id": tokens, "keywords": topic_text.filter(str.strip)}
 )
 
 
