@@ -62,8 +62,8 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
     """The ``--config`` file named in ``argv`` as ``--key=value`` arguments.
 
     Each key is checked against the subcommand's option strings here, before
-    the full parse, so a bad key is named even when a required option is
-    missing.
+    the full parse, so a bad key, or one given twice, is named even when a
+    required option is missing.
     """
     if command is None:
         return []  # the full parse reports the missing or unknown subcommand
@@ -80,7 +80,7 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
             lines = list(fh)
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
-    args = []
+    args, seen = [], {}
     for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -94,6 +94,9 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
         # argparse has no public index of a parser's option strings
         if option not in command._option_string_actions:
             command.error(f"config line {number}: unrecognized argument {option}={value.strip()}")
+        if option in seen:
+            command.error(f"config line {number}: {option} is already given on line {seen[option]}")
+        seen[option] = number
         args.append(f"{option}={value.strip()}")
     return args
 
@@ -122,14 +125,18 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
         return
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / filename).write_text(text, encoding="utf-8")
+    (Path(out_dir) / filename).write_text(text, encoding="utf-8")
 
 
 def _write(args: argparse.Namespace, stem: str, payload: Callable[[], object],
            write_tsv: Callable[[IO[str]], None]) -> None:
-    """Emit one report in the ``--format`` asked for, building only that format."""
+    """Emit one report in the ``--format`` asked for, building only that format.
+
+    Every command calls this once, after all its computation, so the output
+    directory is made here and a failed command leaves none behind.
+    """
+    if args.out is not None:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     if args.format == "obj":
         _emit(json.dumps(payload(), indent=2, sort_keys=True) + "\n", args.out, stem + ".json")
     else:

@@ -11,7 +11,9 @@ neither the other representation nor the query.
 The published description of the consensus positive region is ambiguous
 between the union and the intersection of the two overlap lenses; the
 union reading (which matches the shaded figures) is the default, and
-:class:`PositiveRule` exposes both.
+:class:`PositiveRule` exposes both.  Under the union reading a side's
+positive region is the rest of its representation, so r + s = |A| for A
+(and |B| for B).
 """
 
 from __future__ import annotations
@@ -45,14 +47,15 @@ def consensus_evidence(
     rule: PositiveRule = PositiveRule.UNION,
 ) -> EvidencePair:
     """Evidence for the independent (consensus) combination of A and B."""
+    negative_a, negative_b = len(a - (b | q)), len(b - (a | q))
     if rule is PositiveRule.UNION:
-        positive_a = len((a & b) | (a & q))
-        positive_b = len((a & b) | (b & q))
+        # (A & B) | (A & Q) is A & (B | Q), the complement of A's negative region
+        positive_a, positive_b = len(a) - negative_a, len(b) - negative_b
     else:
         positive_a = positive_b = len(a & b & q)
     return EvidencePair(
-        for_a=EvidenceCounts(positive_a, len(a - (b | q))),
-        for_b=EvidenceCounts(positive_b, len(b - (a | q))),
+        for_a=EvidenceCounts(positive_a, negative_a),
+        for_b=EvidenceCounts(positive_b, negative_b),
     )
 
 

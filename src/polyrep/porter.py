@@ -8,7 +8,14 @@ letter-shape conditions (*v* contains a vowel, *d ends in a double
 consonant, *o ends consonant-vowel-consonant where the final consonant is
 not w, x or y).
 
-Within each step the longest matching suffix decides the rule; if that
+All of these read one string, the word's shape: a "c" or "v" per letter,
+where y is a vowel exactly when it follows a consonant.  m is the number
+of "vc" in the stem's shape, *v* is a "v" in it, *d is a doubled last
+letter whose shape is "c", and *o is a shape ending in "cvc".
+
+Steps 2-4 map each suffix to its replacement in a dict.  A word's last n
+letters are looked up for n from the longest suffix down to 2, so the
+first hit is the longest matching suffix and decides the rule; if that
 rule's condition fails, no shorter suffix is tried.  Words of one or two
 letters are returned unchanged, and so is anything containing a
 non-alphabetic character (digit-bearing tokens are outside the algorithm's
@@ -17,65 +24,25 @@ domain).  Input is expected to be lowercase.
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
 
+def _shape(word: str) -> str:
+    """One "c" (consonant) or "v" (vowel) per letter of ``word``.
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a vowel exactly when it follows a consonant
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+    y is a vowel exactly when it follows a consonant, so a prefix of a word
+    has the matching prefix of the word's shape.
+    """
+    shape = ""
+    for letter in word:
+        shape += "v" if letter in "aeiou" or (letter == "y" and shape[-1:] == "c") else "c"
+    return shape
 
 
 def _measure(stem: str) -> int:
-    m = 0
-    previous_was_vowel = False
-    for i in range(len(stem)):
-        consonant = _is_consonant(stem, i)
-        if consonant and previous_was_vowel:
-            m += 1
-        previous_was_vowel = not consonant
-    return m
-
-
-def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return _shape(stem).count("vc")
 
 
 def _ends_cvc(word: str) -> bool:
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
-
-
-def _apply_table(word: str, rules, minimum_measure: int) -> str:
-    """Rewrite by the longest matching suffix, gated on the stem's measure.
-
-    The suffix "ion" (step 4) also needs a stem that ends in s or t.
-    """
-    for suffix, replacement in rules:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if (suffix != "ion" or stem.endswith(("s", "t"))) and _measure(stem) > minimum_measure:
-                return stem + replacement
-            return word
-    return word
+    return _shape(word).endswith("cvc") and word[-1] not in "wxy"
 
 
 def _step_1a(word: str) -> str:
@@ -95,16 +62,16 @@ def _step_1b(word: str) -> str:
         if _measure(word[:-3]) > 0:
             return word[:-1]
         return word
-    if word.endswith("ed") and _contains_vowel(word[:-2]):
+    if word.endswith("ed") and "v" in _shape(word[:-2]):
         word = word[:-2]
-    elif word.endswith("ing") and _contains_vowel(word[:-3]):
+    elif word.endswith("ing") and "v" in _shape(word[:-3]):
         word = word[:-3]
     else:
         return word
     # post-removal repair of the truncated stem
     if word.endswith(("at", "bl", "iz")):
         return word + "e"
-    if _ends_double_consonant(word) and word[-1] not in "lsz":
+    if word[-2:] == 2 * word[-1] and _shape(word).endswith("c") and word[-1] not in "lsz":
         return word[:-1]
     if _measure(word) == 1 and _ends_cvc(word):
         return word + "e"
@@ -112,65 +79,82 @@ def _step_1b(word: str) -> str:
 
 
 def _step_1c(word: str) -> str:
-    if word.endswith("y") and _contains_vowel(word[:-1]):
+    if word.endswith("y") and "v" in _shape(word[:-1]):
         return word[:-1] + "i"
     return word
 
 
-_STEP_2_RULES = (
-    ("ational", "ate"),
-    ("ization", "ize"),
-    ("iveness", "ive"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("tional", "tion"),
-    ("biliti", "ble"),
-    ("ation", "ate"),
-    ("alism", "al"),
-    ("aliti", "al"),
-    ("iviti", "ive"),
-    ("entli", "ent"),
-    ("ousli", "ous"),
-    ("enci", "ence"),
-    ("anci", "ance"),
-    ("izer", "ize"),
-    ("abli", "able"),
-    ("alli", "al"),
-    ("ator", "ate"),
-    ("eli", "e"),
-)
+_STEP_2_RULES = {
+    "ational": "ate",
+    "ization": "ize",
+    "iveness": "ive",
+    "fulness": "ful",
+    "ousness": "ous",
+    "tional": "tion",
+    "biliti": "ble",
+    "ation": "ate",
+    "alism": "al",
+    "aliti": "al",
+    "iviti": "ive",
+    "entli": "ent",
+    "ousli": "ous",
+    "enci": "ence",
+    "anci": "ance",
+    "izer": "ize",
+    "abli": "able",
+    "alli": "al",
+    "ator": "ate",
+    "eli": "e",
+}
 
-_STEP_3_RULES = (
-    ("icate", "ic"),
-    ("ative", ""),
-    ("alize", "al"),
-    ("iciti", "ic"),
-    ("ical", "ic"),
-    ("ness", ""),
-    ("ful", ""),
-)
+_STEP_3_RULES = {
+    "icate": "ic",
+    "ative": "",
+    "alize": "al",
+    "iciti": "ic",
+    "ical": "ic",
+    "ness": "",
+    "ful": "",
+}
 
-_STEP_4_RULES = (
-    ("ement", ""),
-    ("ance", ""),
-    ("ence", ""),
-    ("able", ""),
-    ("ible", ""),
-    ("ment", ""),
-    ("ant", ""),
-    ("ent", ""),
-    ("ism", ""),
-    ("ate", ""),
-    ("iti", ""),
-    ("ous", ""),
-    ("ive", ""),
-    ("ize", ""),
-    ("ion", ""),  # the stem must also end in s or t
-    ("al", ""),
-    ("er", ""),
-    ("ic", ""),
-    ("ou", ""),
-)
+_STEP_4_RULES = {
+    "ement": "",
+    "ance": "",
+    "ence": "",
+    "able": "",
+    "ible": "",
+    "ment": "",
+    "ant": "",
+    "ent": "",
+    "ism": "",
+    "ate": "",
+    "iti": "",
+    "ous": "",
+    "ive": "",
+    "ize": "",
+    "ion": "",  # the stem must also end in s or t
+    "al": "",
+    "er": "",
+    "ic": "",
+    "ou": "",
+}
+
+_LONGEST_SUFFIX = max(map(len, {**_STEP_2_RULES, **_STEP_3_RULES, **_STEP_4_RULES}))
+
+
+def _apply_table(word: str, rules: dict[str, str], minimum_measure: int) -> str:
+    """Rewrite by the longest matching suffix, gated on the stem's measure.
+
+    The suffix "ion" (step 4) also needs a stem that ends in s or t.
+    """
+    for n in range(_LONGEST_SUFFIX, 1, -1):
+        suffix = word[-n:]  # the whole word when it is shorter than n
+        if suffix in rules:
+            stem = word[: len(word) - len(suffix)]
+            if (suffix != "ion" or stem.endswith(("s", "t"))) and _measure(stem) > minimum_measure:
+                return stem + rules[suffix]
+            return word
+    return word
 
 
 def _step_5a(word: str) -> str:
@@ -186,11 +170,7 @@ def _step_5a(word: str) -> str:
 
 
 def _step_5b(word: str) -> str:
-    if (
-        _measure(word) > 1
-        and _ends_double_consonant(word)
-        and word.endswith("l")
-    ):
+    if word.endswith("ll") and _measure(word) > 1:
         return word[:-1]
     return word
 

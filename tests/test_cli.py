@@ -562,6 +562,9 @@ class TestConfigFile:
             ("polyrep", "top={topics}", "--top="),  # keys must name an option exactly
             ("polyrep", "config=other.conf", "config line 2"),  # config files do not nest
             ("prep", "top={topics}", "--top="),  # named although --topics is missing too
+            # one key twice, however it is spelt: named with both lines
+            ("polyrep", "positive_rule=union\npositive-rule=intersection",
+             "config line 3: --positive-rule is already given on line 2"),
         ],
     )
     def test_bad_key_or_value_is_usage_error(self, tmp_path, capsys, command, line, named):

@@ -72,6 +72,13 @@ class TestConsensusEvidence:
         assert after.for_b.negative <= before.for_b.negative
 
     @given(term_sets, term_sets, term_sets)
+    def test_union_positive_is_the_union_of_both_lenses(self, a, b, q):
+        pair = consensus_evidence(a, b, q, PositiveRule.UNION)
+        assert pair.for_a.positive == len((a & b) | (a & q))
+        assert pair.for_b.positive == len((a & b) | (b & q))
+        assert pair.for_a.total == len(a) and pair.for_b.total == len(b)
+
+    @given(term_sets, term_sets, term_sets)
     def test_counts_bounded_by_set_sizes(self, a, b, q):
         for rule in PositiveRule:
             pair = consensus_evidence(a, b, q, rule)

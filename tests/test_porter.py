@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from polyrep.porter import porter_stem
+from polyrep.porter import _measure, porter_stem
 
 PAIRS_FILE = Path(__file__).parent / "data" / "porter_pairs.txt"
 
@@ -55,3 +55,16 @@ class TestSpecialCases:
         assert porter_stem("conflated") == "conflat"
         assert porter_stem("filing") == "file"
         assert porter_stem("sized") == "size"
+
+
+@pytest.mark.parametrize(
+    "stem,m",
+    [
+        # Porter (1980)'s examples of the measure m, y included
+        *[(stem, 0) for stem in ("tr", "ee", "tree", "y", "by")],
+        *[(stem, 1) for stem in ("trouble", "oats", "trees", "ivy")],
+        *[(stem, 2) for stem in ("troubles", "private", "oaten", "orrery")],
+    ],
+)
+def test_measure_of_the_paper_examples(stem, m):
+    assert _measure(stem) == m
