@@ -61,20 +61,28 @@ class CliError(Exception):
 def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> list[str]:
     """The ``--config`` file named in ``argv`` as ``--key=value`` arguments.
 
-    Each key is checked against the subcommand's option strings here, before
-    the full parse, so a bad key, or one given twice, is named even when a
-    required option is missing.
+    The walk that finds the file also rejects an option given twice in
+    ``argv`` (as ``--opt v`` or ``--opt=v``, up to ``--``), and each config
+    key is checked against the subcommand's option strings, all before the
+    full parse, so a bad or repeated option is named even when a required
+    option is missing.
     """
     if command is None:
         return []  # the full parse reports the missing or unknown subcommand
-    finder = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
-    finder.add_argument("--config")
-    try:
-        path = finder.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:
-        return []  # the full parse reports the malformed --config
+    # argparse has no public index of a parser's option strings
+    options, given, path = command._option_string_actions, set(), None
+    for arg, following in zip(argv, argv[1:] + [None]):
+        if arg == "--":
+            break
+        option, sep, value = arg.partition("=")
+        if option in given:
+            command.error(f"{option} is given more than once")
+        if option in options:
+            given.add(option)
+        if option == "--config":
+            path = value if sep else following
     if path is None:
-        return []
+        return []  # no --config, or the full parse reports its missing value
     try:
         with reading(path, lambda where: CliError(f"config {where}")) as fh:
             lines = list(fh)
@@ -91,8 +99,7 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
         option = "--" + key.strip().replace("_", "-")
         if option == "--config":
             command.error(f"config line {number}: a config file cannot name another")
-        # argparse has no public index of a parser's option strings
-        if option not in command._option_string_actions:
+        if option not in options:
             command.error(f"config line {number}: unrecognized argument {option}={value.strip()}")
         if option in seen:
             command.error(f"config line {number}: {option} is already given on line {seen[option]}")
@@ -102,9 +109,7 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
 
 
 def _parse_levels(text: str) -> list[PrepLevel]:
-    levels = [PrepLevel.from_code(code) for code in text.split(",") if code.strip()]
-    if not levels:
-        raise CliError("at least one preprocessing level is required")
+    levels = [PrepLevel.from_code(code) for code in text.split(",")]
     for index, level in enumerate(levels):
         if level in levels[:index]:
             raise CliError(f"preprocessing level {level.value} is given more than once")

@@ -5,10 +5,11 @@ score tag``); ranks are recomputed from the scores so the rank column in
 the file is never trusted.  Judgments (``qid 0 docid grade``) carry grades
 0-3 read as gains 0/1/2/3; binary metrics treat grade > 0 as relevant.
 
-Six effectiveness measures are computed per query and averaged over every
-judged query: average precision (reported as map), NDCG at the evaluation
-depth, bpref, P@10, NDCG@10 and reciprocal rank (mrr).  Queries without
-relevant judgments score zero and stay in the mean.
+Six effectiveness measures are computed per query, all in one walk of its
+ranking by :func:`evaluate_query`, and averaged over every judged query:
+average precision (reported as map), NDCG at the evaluation depth, bpref,
+P@10 (:func:`precision_at`), NDCG@10 and reciprocal rank (mrr).  Queries
+without relevant judgments score zero and stay in the mean.
 
 :func:`spearman` is the rank correlation used to relate fused-opinion
 components to per-query effectiveness; :func:`correlation_table` ranks
@@ -143,81 +144,85 @@ def parse_qrels(source: str | Path | Iterable[str]) -> Qrels:
     return Qrels(grades)
 
 
-def average_precision(run: RunList, qrels: Qrels, qid: str) -> float:
-    """Mean of precision values at the ranks of retrieved relevant documents."""
+def _grades(run: RunList, qrels: Qrels, qid: str) -> tuple[list[int | None], list[int]]:
+    """The grade at each rank (``None`` where unjudged) and the judged grades, best first."""
     judged = qrels.grades.get(qid, {})
-    total_relevant = sum(1 for grade in judged.values() if grade > 0)
-    if total_relevant == 0:
-        return 0.0
-    hits = 0
-    precision_sum = 0.0
-    for rank, (docid, _) in enumerate(run.rankings.get(qid, ()), start=1):
-        if judged.get(docid, 0) > 0:
-            hits += 1
-            precision_sum += hits / rank
-    return precision_sum / total_relevant
+    ranked = [judged.get(docid) for docid, _ in run.rankings.get(qid, ())]
+    return ranked, sorted(judged.values(), reverse=True)
 
 
-def ndcg_at(run: RunList, qrels: Qrels, qid: str, k: int) -> float:
-    """Discounted cumulative gain in the top k, normalised by the ideal ordering."""
-    judged = qrels.grades.get(qid, {})
-    ideal_gains = sorted(judged.values(), reverse=True)
+def _ndcg(ranked: list[int | None], ideal_gains: list[int], k: int) -> float:
+    """DCG of the top k ranked grades over that of the top k ideal gains (0 if that is 0)."""
     ideal = sum(gain / math.log2(i + 1) for i, gain in enumerate(ideal_gains[:k], start=1))
     if ideal == 0.0:
         return 0.0
     actual = 0.0
-    for rank, (docid, _) in enumerate(run.rankings.get(qid, ())[:k], start=1):
-        gain = judged.get(docid, 0)
+    for rank, gain in enumerate(ranked[:k], start=1):
         if gain:
             actual += gain / math.log2(rank + 1)
     return actual / ideal
 
 
-def precision_at(run: RunList, qrels: Qrels, qid: str, k: int = 10) -> float:
-    """Fraction of the top k that is relevant; short rankings count as misses."""
-    judged = qrels.grades.get(qid, {})
-    hits = sum(1 for docid, _ in run.rankings.get(qid, ())[:k] if judged.get(docid, 0) > 0)
-    return hits / k
+def evaluate_query(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:
+    """The six measures of one query: one judgment lookup, one walk of the ranking.
 
-
-def mrr(run: RunList, qrels: Qrels, qid: str) -> float:
-    """Reciprocal rank of the first relevant retrieved document, else zero."""
-    judged = qrels.grades.get(qid, {})
-    for rank, (docid, _) in enumerate(run.rankings.get(qid, ()), start=1):
-        if judged.get(docid, 0) > 0:
-            return 1.0 / rank
-    return 0.0
-
-
-def bpref(run: RunList, qrels: Qrels, qid: str) -> float:
-    """Binary preference over judged documents only.
-
-    Each retrieved relevant document contributes 1 minus the (capped)
-    number of judged nonrelevant documents ranked above it, normalised by
-    min(R, N); unjudged documents are invisible to the measure.  When there
-    are no judged nonrelevant documents every retrieved relevant document
-    contributes 1.
+    R judged documents have grade > 0 (relevant) and N grade 0.  bpref
+    charges each retrieved relevant document the judged documents of grade
+    <= 0 ranked above it, capped at min(R, N) and divided by it (nothing
+    when min(R, N) is 0), and skips unjudged ones.  p10 counts missing
+    top-10 ranks as misses.  map and bpref divide by R, and are 0 if R is 0.
     """
-    judged = qrels.grades.get(qid, {})
-    total_relevant = sum(1 for grade in judged.values() if grade > 0)
-    if total_relevant == 0:
-        return 0.0
-    total_nonrelevant = sum(1 for grade in judged.values() if grade == 0)
-    bound = min(total_relevant, total_nonrelevant)
-    contribution = 0.0
-    nonrelevant_above = 0
-    for docid, _ in run.rankings.get(qid, ()):
-        grade = judged.get(docid)
+    ranked, ideal_gains = _grades(run, qrels, qid)
+    relevant = sum(1 for grade in ideal_gains if grade > 0)
+    bound = min(relevant, ideal_gains.count(0))
+    hits = top_hits = first = nonrelevant_above = 0
+    precision_sum = preference = 0.0
+    for rank, grade in enumerate(ranked, start=1):
         if grade is None:
             continue
         if grade > 0:
-            if bound == 0:
-                contribution += 1.0
-            else:
-                contribution += 1.0 - min(nonrelevant_above, bound) / bound
+            hits += 1
+            precision_sum += hits / rank
+            preference += (1.0 - min(nonrelevant_above, bound) / bound) if bound else 1.0
+            top_hits += rank <= 10
+            first = first or rank
         else:
             nonrelevant_above += 1
-    return contribution / total_relevant
+    return {
+        "map": precision_sum / relevant if relevant else 0.0,
+        "ndcg": _ndcg(ranked, ideal_gains, EVALUATION_DEPTH),
+        "bpref": preference / relevant if relevant else 0.0,
+        "p10": top_hits / 10,
+        "ndcg10": _ndcg(ranked, ideal_gains, 10),
+        "mrr": 1.0 / first if first else 0.0,
+    }
+
+
+def average_precision(run: RunList, qrels: Qrels, qid: str) -> float:
+    """Mean precision at the ranks of retrieved relevant documents: ``evaluate_query``'s map."""
+    return evaluate_query(run, qrels, qid)["map"]
+
+
+def ndcg_at(run: RunList, qrels: Qrels, qid: str, k: int) -> float:
+    """Discounted cumulative gain in the top k (k >= 1), normalised by the ideal ordering."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    return _ndcg(*_grades(run, qrels, qid), k)
+
+
+def precision_at(run: RunList, qrels: Qrels, qid: str) -> float:
+    """Fraction of the top 10 that is relevant: ``evaluate_query``'s p10."""
+    return evaluate_query(run, qrels, qid)["p10"]
+
+
+def mrr(run: RunList, qrels: Qrels, qid: str) -> float:
+    """Reciprocal rank of the first relevant retrieved document: ``evaluate_query``'s mrr."""
+    return evaluate_query(run, qrels, qid)["mrr"]
+
+
+def bpref(run: RunList, qrels: Qrels, qid: str) -> float:
+    """Binary preference over judged documents only: ``evaluate_query``'s bpref."""
+    return evaluate_query(run, qrels, qid)["bpref"]
 
 
 @dataclass(frozen=True)
@@ -226,17 +231,6 @@ class MetricReport:
 
     per_query: Mapping[str, Mapping[str, float]]
     means: Mapping[str, float]
-
-
-def evaluate_query(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:
-    return {
-        "map": average_precision(run, qrels, qid),
-        "ndcg": ndcg_at(run, qrels, qid, EVALUATION_DEPTH),
-        "bpref": bpref(run, qrels, qid),
-        "p10": precision_at(run, qrels, qid, 10),
-        "ndcg10": ndcg_at(run, qrels, qid, 10),
-        "mrr": mrr(run, qrels, qid),
-    }
 
 
 def evaluate_run(run: RunList, qrels: Qrels) -> MetricReport:

@@ -203,6 +203,14 @@ class TestPolyrep:
         repeated = levels.split(",")[0]
         assert f"preprocessing level {repeated} is given more than once" in out.err
 
+    @pytest.mark.parametrize("levels", ["I,,II", "I,II,", ""])
+    def test_empty_level_entry_rejected(self, capsys, levels):
+        argv = ["polyrep", "--topics", str(DATA / "topics.jsonl"), "--prep", levels]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unknown preprocessing level ''" in out.err
+
 
 class TestEvaluate:
     def test_fixture_report(self, capsys):
@@ -581,6 +589,32 @@ class TestConfigFile:
         out = capsys.readouterr()
         assert out.out == ""
         assert named in out.err
+
+    @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            ("polyrep", ["--alpha", "0.1", "--alpha", "0.9"], "--alpha"),
+            ("polyrep", ["--alpha=0.1", "--alpha=0.9"], "--alpha"),
+            ("polyrep", ["--alpha", "0.1", "--alpha=0.9"], "--alpha"),
+            ("polyrep", ["--config", "{a}", "--config", "{b}"], "--config"),
+            ("evaluate", ["--format", "tsv", "--format", "obj"], "--format"),
+        ],
+        ids=["alpha", "alpha=", "alpha-mixed", "config", "format"],
+    )
+    def test_flag_given_twice_is_usage_error(self, tmp_path, capsys, command, flags, named):
+        (tmp_path / "a.conf").write_text("prep=II\n")
+        (tmp_path / "b.conf").write_text("prep=IV\n")
+        inputs = {
+            "polyrep": ["--topics", str(DATA / "topics.jsonl")],
+            "evaluate": ["--run", str(DATA / "run.txt"), "--qrels", str(DATA / "qrels.txt")],
+        }
+        flags = [flag.format(a=tmp_path / "a.conf", b=tmp_path / "b.conf") for flag in flags]
+        with pytest.raises(SystemExit) as exited:
+            main([command, *inputs[command], *flags])
+        assert exited.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"{named} is given more than once" in out.err
 
     def test_value_starting_with_dash_is_a_value(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

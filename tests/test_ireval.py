@@ -171,6 +171,13 @@ class TestNdcg:
         run = run_of("q", ["d1"])
         assert ndcg_at(run, qrels_of("q", {"d1": 0}), "q", 10) == 0.0
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_rejected(self, k):
+        # a negative k would slice the ranking from its end
+        run = run_of("q", ["d1", "d2"])
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            ndcg_at(run, qrels_of("q", {"d1": 0, "d2": 1}), "q", k)
+
     def test_gains_are_the_raw_grades(self):
         # one grade-2 doc at rank 1 with a grade-3 doc unretrieved:
         # dcg = 2, idcg = 3 + 2/log2(3)
@@ -341,6 +348,47 @@ class TestOracleEquivalence:
             after = evaluate_query(run_of("q", promoted), qrels, "q")
             for metric in before:
                 assert after[metric] >= before[metric] - TOL
+
+
+@st.composite
+def deep_instances(draw):
+    """A ranking of up to 30 of 40 documents, and grades 0-3 for any of the 40."""
+    pool = [f"d{i}" for i in range(40)]
+    ranked = draw(st.lists(st.sampled_from(pool), unique=True, max_size=30))
+    judgments = draw(st.dictionaries(st.sampled_from(pool), st.integers(0, 3)))
+    return ranked, judgments
+
+
+class TestBeyondFiveDocuments:
+    """Rankings long enough for the top-10 cutoffs, which criterion 4 never reaches."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(deep_instances())
+    def test_measures_match_the_oracles_and_the_public_views(self, instance):
+        ranked, judgments = instance
+        run, qrels = run_of("q", ranked), qrels_of("q", judgments)
+        got = evaluate_query(run, qrels, "q")
+        expected = {
+            "map": oracles.ap_naive(ranked, judgments),
+            "ndcg": oracles.ndcg_naive(ranked, judgments, 1000),
+            "bpref": oracles.bpref_naive(ranked, judgments),
+            "p10": oracles.precision_naive(ranked, judgments, 10),
+            "ndcg10": oracles.ndcg_naive(ranked, judgments, 10),
+            "mrr": oracles.rr_naive(ranked, judgments),
+        }
+        assert list(got) == list(METRICS)
+        for metric in METRICS:
+            assert got[metric] == pytest.approx(expected[metric], abs=TOL)
+        for k in (1, 3, 10, 1000):
+            assert ndcg_at(run, qrels, "q", k) == pytest.approx(
+                oracles.ndcg_naive(ranked, judgments, k), abs=TOL
+            )
+        assert average_precision(run, qrels, "q") == got["map"]
+        assert ndcg_at(run, qrels, "q", 1000) == got["ndcg"]
+        assert bpref(run, qrels, "q") == got["bpref"]
+        assert precision_at(run, qrels, "q") == got["p10"]
+        assert ndcg_at(run, qrels, "q", 10) == got["ndcg10"]
+        assert mrr(run, qrels, "q") == got["mrr"]
 
 
 class TestSpearman:
