@@ -20,7 +20,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, groupby
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -109,14 +110,14 @@ class CombinationSpec:
             raise ValueError("rep_a and rep_b must differ")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha outside [0, 1]: {self.alpha!r}")
+        if self.operator is FusionOperator.CONSENSUS and self.order is not None:
+            raise ValueError("a consensus cell takes no order")
         if self.operator is FusionOperator.RECOMMENDATION and self.order is None:
             object.__setattr__(self, "order", CombinationOrder.AB)
 
     @property
     def order_label(self) -> str:
-        if self.operator is FusionOperator.CONSENSUS:
-            return "-"
-        return self.order.value  # type: ignore[union-attr]
+        return "-" if self.order is None else self.order.value
 
     @property
     def label(self) -> tuple[str, str, str, str, str]:
@@ -195,55 +196,48 @@ def run_matrix(
     Results come in matrix order: levels as given, consensus pairs then
     recommendation pairs.  Each topic's five texts are tokenized once for
     all levels, each level built from the one below, and dropped before the
-    next topic.  Per level, each pair of representations gets one consensus
-    and one recommendation evidence, which its AB and BA cells share, and
-    each distinct evidence count becomes an opinion once per call.
+    next topic.  Per level, the cells fall into evidence groups: a consensus
+    cell alone, or a pair's AB and BA cells.  Per topic a group gets one
+    evidence and one opinion pair, and it keeps one pooled sum; each
+    distinct evidence count becomes an opinion once per call.
     """
     topics, levels = list(topics), list(levels)
     if not topics:
         raise EmptyTopicListError("at least one topic is required")
-    # Per level, one (spec, per-topic entries, pooled sums) triple per cell;
-    # the sums are positive/negative for a, then b.
+    # Per level, one (cells, pooled sums) pair per evidence group, each cell a
+    # (spec, per-topic entries) pair; the sums are positive/negative for a, then b.
     table = [
-        (level, [(spec, [], [0, 0, 0, 0]) for spec in matrix_specs(level, alpha, positive_rule)])
+        [([(spec, []) for spec in cells], [0, 0, 0, 0])
+         for _, cells in groupby(matrix_specs(level, alpha, positive_rule),
+                                 key=lambda spec: (spec.rep_a, spec.rep_b, spec.operator))]
         for level in levels
     ]
-    opinions: dict[EvidenceCounts, Opinion] = {}
-
-    def opinion(counts: EvidenceCounts) -> Opinion:
-        found = opinions.get(counts)
-        if found is None:
-            found = opinions[counts] = from_evidence(counts, alpha)
-        return found
-
+    opinion = cache(lambda counts: from_evidence(counts, alpha))
     for topic in topics:
         by_text = {name: term_sets(getattr(topic, name), levels)
                    for name in ("keywords", *REPRESENTATIONS)}
-        for level, cells in table:
+        for level, groups in zip(levels, table):
             sets = {name: level_sets[level] for name, level_sets in by_text.items()}
-            shared: dict[tuple, tuple[EvidencePair, Opinion, Opinion]] = {}
-            for spec, entries, sums in cells:
-                key = (spec.rep_a, spec.rep_b, spec.operator)
-                if key not in shared:
-                    pair = _evidence(sets, spec)
-                    shared[key] = pair, opinion(pair.for_a), opinion(pair.for_b)
-                pair, opinion_a, opinion_b = shared[key]
-                fused = _fuse(opinion_a, opinion_b, spec)
-                entries.append((topic.id, fused, expectation(fused)))
+            for cells, sums in groups:
+                pair = _evidence(sets, cells[0][0])  # its cells share rep_a, rep_b and operator
+                opinion_a, opinion_b = opinion(pair.for_a), opinion(pair.for_b)
+                for spec, entries in cells:
+                    fused = _fuse(opinion_a, opinion_b, spec)
+                    entries.append((topic.id, fused, expectation(fused)))
                 sums[0] += pair.for_a.positive
                 sums[1] += pair.for_a.negative
                 sums[2] += pair.for_b.positive
                 sums[3] += pair.for_b.negative
     results = []
-    for _, cells in table:
-        for spec, entries, (pos_a, neg_a, pos_b, neg_b) in cells:
-            if mode is AggregationMode.MACRO:
-                aggregate = sum(entry[2] for entry in entries) / len(entries)
-            else:
-                fused = _fuse(opinion(EvidenceCounts(pos_a, neg_a)),
-                              opinion(EvidenceCounts(pos_b, neg_b)), spec)
-                aggregate = expectation(fused)
-            results.append(CombinationResult(spec, tuple(entries), aggregate))
+    for groups in table:
+        for cells, (pos_a, neg_a, pos_b, neg_b) in groups:
+            for spec, entries in cells:
+                if mode is AggregationMode.MACRO:
+                    aggregate = sum(entry[2] for entry in entries) / len(entries)
+                else:
+                    aggregate = expectation(_fuse(opinion(EvidenceCounts(pos_a, neg_a)),
+                                                  opinion(EvidenceCounts(pos_b, neg_b)), spec))
+                results.append(CombinationResult(spec, tuple(entries), aggregate))
     return results
 
 
@@ -255,10 +249,21 @@ def rank_combinations(results: Sequence[CombinationResult]) -> list[CombinationR
     return sorted(results, key=lambda res: (-res.aggregate_probability, *res.spec.label[1:]))
 
 
+def _fields_once(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object's fields by name; a name given twice is an error, not the last one."""
+    record: dict[str, object] = {}
+    for name, value in pairs:
+        if name in record:
+            raise ValueError(f"field {name!r} is given more than once")
+        record[name] = value
+    return record
+
+
 def parse_topics(lines: Iterable[str]) -> list[Topic]:
     """Parse line-delimited JSON topic records with exactly the six fields.
 
-    Topic ids must be unique; a repeated id is rejected with both line numbers.
+    A field given twice in a record is rejected.  Topic ids must be unique;
+    a repeated id is rejected with both line numbers.
     """
     topics = []
     first_line: dict[str, int] = {}
@@ -266,9 +271,11 @@ def parse_topics(lines: Iterable[str]) -> list[Topic]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = json.loads(line, object_pairs_hook=_fields_once)
         except json.JSONDecodeError as exc:
             raise TopicParseError(f"line {number}: invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:
+            raise TopicParseError(f"line {number}: {exc}") from exc
         if not isinstance(record, dict):
             raise TopicParseError(f"line {number}: expected an object")
         unknown = sorted(set(record) - set(TOPIC_FIELDS))

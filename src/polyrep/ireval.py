@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -255,18 +256,15 @@ def evaluate_run(run: RunList, qrels: Qrels) -> MetricReport:
 
 def _average_ranks_doubled(values: Sequence[float]) -> list[int]:
     """Tie-averaged ranks, scaled by two so they stay integers."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
     doubled = [0] * len(values)
     start = 0
-    while start < len(order):
-        stop = start
-        while stop + 1 < len(order) and values[order[stop + 1]] == values[order[start]]:
-            stop += 1
-        # positions start+1 .. stop+1 share the averaged rank
-        rank2 = start + stop + 2
-        for i in range(start, stop + 1):
-            doubled[order[i]] = rank2
-        start = stop + 1
+    for _, tied in groupby(sorted(range(len(values)), key=values.__getitem__),
+                           key=values.__getitem__):
+        tied = list(tied)
+        # positions start+1 .. start+len(tied) share the averaged rank
+        for i in tied:
+            doubled[i] = 2 * start + len(tied) + 1
+        start += len(tied)
     return doubled
 
 
@@ -306,8 +304,11 @@ def correlation_table(
     measure) and ``ys`` (the component) are in topic-id order, each built and
     ranked once and shared by the cells that read it; ``rho`` is :func:`spearman`
     of the two.  A constant rank vector raises :class:`ZeroVarianceError`
-    naming the first such cell.
+    naming the first such cell, and a metric outside :data:`METRICS` a ValueError.
     """
+    for metric in metrics:
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     report_ids = report.per_query.keys()
     ordered = sorted(report_ids)
     xs = {metric: [report.per_query[tid][metric] for tid in ordered] for metric in metrics}
@@ -346,8 +347,6 @@ def correlate_components(
     Topic ids of the combination result and the metric report must agree
     exactly; any id present on only one side is an error.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     return correlation_table([result], report, (component,), (metric,))[0][3]
 
 

@@ -107,17 +107,9 @@ def _closed_masses(positive: int, negative: int) -> tuple[float, float, float]:
     belief_cands.update(_ulp_neighbours(committed - disbelief, 1))
     disbelief_cands = set(_ulp_neighbours(disbelief, 2))
     disbelief_cands.update(_ulp_neighbours(committed - belief, 1))
-    best: tuple[float, float, float] | None = None
-    for b in belief_cands:
-        if b < 0.0:
-            continue
-        for d in disbelief_cands:
-            if d < 0.0:
-                continue
-            if (b + d) + uncertainty == 1.0:
-                key = (abs(b - belief) + abs(d - disbelief), b, d)
-                if best is None or key < best:
-                    best = key
+    best = min(((abs(b - belief) + abs(d - disbelief), b, d)
+                for b in belief_cands for d in disbelief_cands
+                if b >= 0.0 and d >= 0.0 and (b + d) + uncertainty == 1.0), default=None)
     if best is None:
         # Unreachable for realistic counts (verified exhaustively for
         # r + s <= 2000, and by a property test on sampled pooled totals

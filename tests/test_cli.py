@@ -71,6 +71,15 @@ class TestPrep:
         assert main(["prep", "--topics", str(empty)]) == 0
         assert capsys.readouterr().out == "topic\trepresentation\tlevel\tterms\n"
 
+    def test_repeated_field_exits_nonzero_naming_it(self, tmp_path, capsys):
+        first = DATA.joinpath("topics.jsonl").read_text().splitlines()[0]
+        topics = tmp_path / "topics.jsonl"
+        topics.write_text(first[:-1] + ', "keywords": "other words"}\n')
+        assert main(["prep", "--topics", str(topics)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "polyrep: error: line 1: field 'keywords' is given more than once\n"
+
     def test_bad_record_exits_nonzero_with_line_number(self, tmp_path, capsys):
         bad = tmp_path / "topics.jsonl"
         bad.write_text('{"id": "x"}\n')
@@ -184,6 +193,12 @@ class TestPolyrep:
             ["polyrep", "--topics", str(DATA / "topics.jsonl"), "--alpha", "2"]
         ) == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_non_numeric_alpha_rejected(self, capsys):
+        assert main(["polyrep", "--topics", str(DATA / "topics.jsonl"), "--alpha", "abc"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "polyrep: error: bad alpha 'abc'\n"
 
     def test_duplicate_topic_id_rejected(self, tmp_path, capsys):
         first = DATA.joinpath("topics.jsonl").read_text().splitlines()[0]
@@ -615,6 +630,24 @@ class TestConfigFile:
         out = capsys.readouterr()
         assert out.out == ""
         assert f"{named} is given more than once" in out.err
+
+    def test_repeat_check_stops_at_double_dash(self, capsys):
+        argv = ["polyrep", "--topics", str(DATA / "topics.jsonl"), "--alpha", "0.5",
+                "--", "--alpha", "0.1"]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: -- --alpha 0.1" in err
+        assert "more than once" not in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.conf"
+        assert main(["polyrep", "--config", str(missing)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("polyrep: error: cannot read config file: ")
+        assert str(missing) in out.err
 
     def test_value_starting_with_dash_is_a_value(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

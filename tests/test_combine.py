@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,12 @@ class TestSpecValidation:
 
     def test_recommendation_defaults_to_ab(self):
         assert spec_for(FusionOperator.RECOMMENDATION).order is CombinationOrder.AB
+
+    @pytest.mark.parametrize("order", list(CombinationOrder))
+    def test_consensus_takes_no_order(self, order):
+        # a consensus cell with an order would equal no run_matrix cell
+        with pytest.raises(ValueError, match="consensus cell takes no order"):
+            spec_for(FusionOperator.CONSENSUS, order=order)
 
     def test_topic_requires_id_and_keywords(self):
         with pytest.raises(ValueError):
@@ -380,6 +387,28 @@ class TestTopicParsing:
             '"work_task": "c", "ideal_answer": "d", "keywords": "e"}'
         )
         with pytest.raises(TopicParseError, match="strings"):
+            parse_topics([line])
+
+    @pytest.mark.parametrize("field", ["keywords", "id", "background"])
+    def test_repeated_field_rejected_naming_it(self, field):
+        fields = dict(id="t2", information_need="a", background="b", work_task="c",
+                      ideal_answer="d", keywords="e")
+        # json.loads alone keeps the last value, so a repeated id would hide the first
+        repeated = json.dumps(fields)[:-1] + f', "{field}": "t1"}}'
+        lines = [json.dumps(dict(fields, id="t1")), repeated]
+        with pytest.raises(TopicParseError, match=f"^line 2: field '{field}' is given more than once$"):
+            parse_topics(lines)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer string limit")
+    def test_number_past_the_int_limit_names_the_line(self):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        with pytest.raises(TopicParseError, match="^line 1: Exceeds the limit"):
+            parse_topics(['{"id": ' + "1" * 5000 + "}"])
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "3", "null"])
+    def test_non_object_line_rejected(self, line):
+        with pytest.raises(TopicParseError, match="^line 1: expected an object$"):
             parse_topics([line])
 
     def test_bad_json_reports_line_number(self):

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,11 @@ class TestParseRun:
     def test_bad_score_rejected(self):
         with pytest.raises(RunParseError, match="score"):
             parse_run(["q1 Q0 d1 1 abc t"])
+
+    @pytest.mark.parametrize("score", ["inf", "-inf", "nan"])
+    def test_non_finite_score_rejected(self, score):
+        with pytest.raises(RunParseError, match=f"^line 2: non-finite score '{score}'$"):
+            parse_run(["q1 Q0 d1 1 1.0 t", f"q1 Q0 d2 2 {score} t"])
 
     def test_ranking_truncated_to_evaluation_depth(self):
         lines = [f"q1 Q0 d{i:04d} {i} {2000 - i}.0 t" for i in range(1500)]
@@ -275,6 +281,10 @@ class TestEvaluateRun:
         qrels = parse_qrels(["t1 0 d1 1"])
         with pytest.raises(NoOverlapError):
             evaluate_run(run, qrels)
+
+    def test_empty_judgments_rejected(self):
+        with pytest.raises(NoOverlapError, match="^judgments contain no queries$"):
+            evaluate_run(parse_run(["t1 Q0 d1 1 1.0 t"]), parse_qrels([]))
 
     def test_empty_run_scores_all_zero(self):
         report = evaluate_run(parse_run([]), parse_qrels(["t1 0 d1 1"]))
@@ -575,6 +585,15 @@ class TestCorrelationTable:
             buffer = io.StringIO()
             write_plot_data(xs, ys, buffer)
             assert buffer.getvalue() == expected_text
+
+    def test_unknown_metric_named_as_by_correlate_components(self):
+        result = result_with_beliefs([("t1", 0.2), ("t2", 0.6)])
+        report = report_with([("t1", 0.1), ("t2", 0.9)])
+        expected = f"^unknown metric 'bogus'; expected one of {re.escape(str(METRICS))}$"
+        with pytest.raises(ValueError, match=expected):
+            correlation_table([result], report, metrics=("map", "bogus"))
+        with pytest.raises(ValueError, match=expected):
+            correlate_components(result, report, Component.BELIEF, "bogus")
 
     @settings(max_examples=100, deadline=None)
     @given(table_inputs(), st.booleans())
