@@ -10,9 +10,12 @@ per-topic expectations are aggregated into one combination probability per
 (level, pair, operator, order) cell, mirroring the layout of a published
 combination table.
 
-Aggregation across topics is either MACRO (mean of per-topic expectations,
-the default) or POOLED (evidence counts summed over all topics before a
-single mapping and fusion).
+A :class:`CombinationSpec` names a cell and nothing else.  The prior base
+rate alpha and the positive-evidence rule are parameters of the whole run,
+given once to :func:`run_matrix` (or to :func:`combine_topic` for one
+topic).  Aggregation across topics is either MACRO (mean of per-topic
+expectations, the default) or POOLED (evidence counts summed over all
+topics before a single mapping and fusion).
 """
 
 from __future__ import annotations
@@ -92,14 +95,12 @@ class Topic:
 
 @dataclass(frozen=True)
 class CombinationSpec:
-    """One cell of the combination matrix."""
+    """One cell of the combination matrix; only a recommendation cell has an order."""
 
     rep_a: str
     rep_b: str
     operator: FusionOperator
     level: PrepLevel
-    alpha: float = DEFAULT_ALPHA
-    positive_rule: PositiveRule = PositiveRule.UNION
     order: CombinationOrder | None = None
 
     def __post_init__(self) -> None:
@@ -108,12 +109,8 @@ class CombinationSpec:
                 raise ValueError(f"unknown representation {rep!r}")
         if self.rep_a == self.rep_b:
             raise ValueError("rep_a and rep_b must differ")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha outside [0, 1]: {self.alpha!r}")
-        if self.operator is FusionOperator.CONSENSUS and self.order is not None:
-            raise ValueError("a consensus cell takes no order")
-        if self.operator is FusionOperator.RECOMMENDATION and self.order is None:
-            object.__setattr__(self, "order", CombinationOrder.AB)
+        if (self.order is None) is not (self.operator is FusionOperator.CONSENSUS):
+            raise ValueError("a consensus cell takes no order and a recommendation cell needs one")
 
     @property
     def order_label(self) -> str:
@@ -135,17 +132,20 @@ class CombinationResult:
     aggregate_probability: float
 
 
-def _evidence(sets: dict[str, TermSet], spec: CombinationSpec) -> EvidencePair:
+def _evidence(sets: dict[str, TermSet], spec: CombinationSpec,
+              positive_rule: PositiveRule) -> EvidencePair:
     set_a, set_b, query = sets[spec.rep_a], sets[spec.rep_b], sets["keywords"]
     if spec.operator is FusionOperator.CONSENSUS:
-        return consensus_evidence(set_a, set_b, query, spec.positive_rule)
+        return consensus_evidence(set_a, set_b, query, positive_rule)
     return recommendation_evidence(set_a, set_b, query)
 
 
-def topic_evidence(topic: Topic, spec: CombinationSpec) -> EvidencePair:
+def topic_evidence(topic: Topic, spec: CombinationSpec,
+                   positive_rule: PositiveRule = PositiveRule.UNION) -> EvidencePair:
     """Extract the (rep_a, rep_b) evidence counts for one topic."""
     names = ("keywords", spec.rep_a, spec.rep_b)
-    return _evidence({name: tokenize(getattr(topic, name), spec.level) for name in names}, spec)
+    return _evidence({name: tokenize(getattr(topic, name), spec.level) for name in names}, spec,
+                     positive_rule)
 
 
 def _fuse(opinion_a: Opinion, opinion_b: Opinion, spec: CombinationSpec) -> Opinion:
@@ -156,32 +156,20 @@ def _fuse(opinion_a: Opinion, opinion_b: Opinion, spec: CombinationSpec) -> Opin
     return recommendation(trust=opinion_b, advice=opinion_a)
 
 
-def combine_topic(topic: Topic, spec: CombinationSpec) -> tuple[Opinion, float]:
-    """Fuse one topic's pair of representations; returns (opinion, expectation)."""
-    pair = topic_evidence(topic, spec)
-    fused = _fuse(from_evidence(pair.for_a, spec.alpha), from_evidence(pair.for_b, spec.alpha), spec)
+def combine_topic(topic: Topic, spec: CombinationSpec, alpha: float = DEFAULT_ALPHA,
+                  positive_rule: PositiveRule = PositiveRule.UNION) -> tuple[Opinion, float]:
+    """Fuse one topic's pair under the run's alpha and rule; returns (opinion, expectation)."""
+    pair = topic_evidence(topic, spec, positive_rule)
+    fused = _fuse(from_evidence(pair.for_a, alpha), from_evidence(pair.for_b, alpha), spec)
     return fused, expectation(fused)
 
 
-def matrix_specs(
-    level: PrepLevel,
-    alpha: float = DEFAULT_ALPHA,
-    positive_rule: PositiveRule = PositiveRule.UNION,
-) -> list[CombinationSpec]:
+def matrix_specs(level: PrepLevel) -> list[CombinationSpec]:
     """All 18 combination cells for one level: 6 consensus + 12 recommendation."""
-    specs = []
-    for rep_a, rep_b in combinations(REPRESENTATIONS, 2):
-        specs.append(
-            CombinationSpec(rep_a, rep_b, FusionOperator.CONSENSUS, level, alpha, positive_rule)
-        )
-    for rep_a, rep_b in combinations(REPRESENTATIONS, 2):
-        for order in CombinationOrder:
-            specs.append(
-                CombinationSpec(
-                    rep_a, rep_b, FusionOperator.RECOMMENDATION, level, alpha, positive_rule, order
-                )
-            )
-    return specs
+    pairs = list(combinations(REPRESENTATIONS, 2))
+    return ([CombinationSpec(*pair, FusionOperator.CONSENSUS, level) for pair in pairs]
+            + [CombinationSpec(*pair, FusionOperator.RECOMMENDATION, level, order)
+               for pair in pairs for order in CombinationOrder])
 
 
 def run_matrix(
@@ -199,16 +187,18 @@ def run_matrix(
     next topic.  Per level, the cells fall into evidence groups: a consensus
     cell alone, or a pair's AB and BA cells.  Per topic a group gets one
     evidence and one opinion pair, and it keeps one pooled sum; each
-    distinct evidence count becomes an opinion once per call.
+    distinct evidence count becomes an opinion once per call.  ``positive_rule``
+    and ``mode`` are enum members or their values; anything else raises ValueError.
     """
     topics, levels = list(topics), list(levels)
+    positive_rule, mode = PositiveRule(positive_rule), AggregationMode(mode)
     if not topics:
         raise EmptyTopicListError("at least one topic is required")
     # Per level, one (cells, pooled sums) pair per evidence group, each cell a
     # (spec, per-topic entries) pair; the sums are positive/negative for a, then b.
     table = [
         [([(spec, []) for spec in cells], [0, 0, 0, 0])
-         for _, cells in groupby(matrix_specs(level, alpha, positive_rule),
+         for _, cells in groupby(matrix_specs(level),
                                  key=lambda spec: (spec.rep_a, spec.rep_b, spec.operator))]
         for level in levels
     ]
@@ -219,7 +209,7 @@ def run_matrix(
         for level, groups in zip(levels, table):
             sets = {name: level_sets[level] for name, level_sets in by_text.items()}
             for cells, sums in groups:
-                pair = _evidence(sets, cells[0][0])  # its cells share rep_a, rep_b and operator
+                pair = _evidence(sets, cells[0][0], positive_rule)  # cells share pair, operator
                 opinion_a, opinion_b = opinion(pair.for_a), opinion(pair.for_b)
                 for spec, entries in cells:
                     fused = _fuse(opinion_a, opinion_b, spec)

@@ -46,9 +46,12 @@ def consensus_evidence(
     q: AbstractSet[str],
     rule: PositiveRule = PositiveRule.UNION,
 ) -> EvidencePair:
-    """Evidence for the independent (consensus) combination of A and B."""
+    """Evidence for the independent (consensus) combination of A and B.
+
+    ``rule`` is a :class:`PositiveRule` or its value.
+    """
     negative_a, negative_b = len(a - (b | q)), len(b - (a | q))
-    if rule is PositiveRule.UNION:
+    if PositiveRule(rule) is PositiveRule.UNION:
         # (A & B) | (A & Q) is A & (B | Q), the complement of A's negative region
         positive_a, positive_b = len(a) - negative_a, len(b) - negative_b
     else:

@@ -34,6 +34,7 @@ from .textprep import reading
 EVALUATION_DEPTH = 1000
 
 GRADES = (0, 1, 2, 3)
+_GRADE_OF = {str(grade): grade for grade in GRADES}  # only these exact spellings are grades
 
 METRICS = ("map", "ndcg", "bpref", "p10", "ndcg10", "mrr")
 
@@ -132,12 +133,10 @@ def parse_qrels(source: str | Path | Iterable[str]) -> Qrels:
     """Parse graded judgments; one grade per (query, document) pair."""
     grades: dict[str, dict[str, int]] = {}
     for number, (qid, _, docid, grade_text) in _fields(source, 4, QrelsParseError):
-        try:
-            grade = int(grade_text)
-        except ValueError as exc:
-            raise QrelsParseError(f"line {number}: bad grade {grade_text!r}") from exc
-        if grade not in GRADES:
-            raise QrelsParseError(f"line {number}: grade must be one of {GRADES}, got {grade}")
+        grade = _GRADE_OF.get(grade_text)
+        if grade is None:
+            raise QrelsParseError(
+                f"line {number}: grade must be one of {GRADES}, got {grade_text!r}")
         per_query = grades.setdefault(qid, {})
         if docid in per_query:
             raise QrelsParseError(f"line {number}: duplicate judgment for {qid!r}/{docid!r}")

@@ -762,3 +762,16 @@ def test_console_script_runs():
     )
     assert proc.returncode == 2  # argparse usage error: no subcommand
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["bogus", "--topics", "x"], "argument command: invalid choice: 'bogus'"),
+], ids=["none", "unknown"])
+def test_missing_or_unknown_subcommand_is_a_usage_error(argv, error, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: polyrep ") and f"polyrep: error: {error}" in out.err

@@ -124,9 +124,7 @@ class TestCombineTopic:
         assert value == pytest.approx(4 / 7, abs=TOL)
 
     def test_alpha_zero_reduces_expectation_to_belief(self):
-        fused, value = combine_topic(
-            make_topic(), spec_for(FusionOperator.CONSENSUS, alpha=0.0)
-        )
+        fused, value = combine_topic(make_topic(), spec_for(FusionOperator.CONSENSUS), alpha=0.0)
         assert value == fused.belief
 
 
@@ -141,12 +139,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CombinationSpec("keywords", "work_task", FusionOperator.CONSENSUS, PrepLevel.RAW)
 
-    def test_alpha_bounds(self):
-        with pytest.raises(ValueError):
-            spec_for(FusionOperator.CONSENSUS, alpha=1.5)
-
-    def test_recommendation_defaults_to_ab(self):
-        assert spec_for(FusionOperator.RECOMMENDATION).order is CombinationOrder.AB
+    def test_recommendation_needs_an_order(self):
+        with pytest.raises(ValueError, match="recommendation cell needs one"):
+            spec_for(FusionOperator.RECOMMENDATION)
 
     @pytest.mark.parametrize("order", list(CombinationOrder))
     def test_consensus_takes_no_order(self, order):
@@ -235,6 +230,19 @@ class TestRunMatrix:
             for p, m in zip(pooled, macro)
         )
 
+    @pytest.mark.parametrize("name, member", [
+        ("mode", AggregationMode.MACRO), ("mode", AggregationMode.POOLED),
+        ("positive_rule", PositiveRule.UNION), ("positive_rule", PositiveRule.INTERSECTION),
+    ])
+    def test_run_parameter_given_by_value(self, fixture_topics, name, member):
+        by_value = run_matrix(fixture_topics, [PrepLevel.STOP], **{name: member.value})
+        assert by_value == run_matrix(fixture_topics, [PrepLevel.STOP], **{name: member})
+
+    @pytest.mark.parametrize("name", ["mode", "positive_rule"])
+    def test_unknown_run_parameter_rejected(self, fixture_topics, name):
+        with pytest.raises(ValueError, match="'bogus' is not a valid"):
+            run_matrix(fixture_topics, [PrepLevel.STOP], **{name: "bogus"})
+
     def test_matrix_specs_cover_all_pairs_once(self):
         specs = matrix_specs(PrepLevel.RAW)
         consensus_pairs = {
@@ -267,12 +275,14 @@ def reference_matrix(topics, levels, alpha, rule, mode):
     """``run_matrix`` rebuilt cell by cell from ``combine_topic`` and ``topic_evidence``."""
     results = []
     for level in levels:
-        for spec in matrix_specs(level, alpha, rule):
-            per_topic = tuple((topic.id, *combine_topic(topic, spec)) for topic in topics)
+        for spec in matrix_specs(level):
+            per_topic = tuple(
+                (topic.id, *combine_topic(topic, spec, alpha, rule)) for topic in topics
+            )
             if mode is AggregationMode.MACRO:
                 aggregate = sum(value for _, _, value in per_topic) / len(per_topic)
             else:
-                pairs = [topic_evidence(topic, spec) for topic in topics]
+                pairs = [topic_evidence(topic, spec, rule) for topic in topics]
                 side_a = from_evidence(EvidenceCounts(
                     sum(p.for_a.positive for p in pairs), sum(p.for_a.negative for p in pairs)
                 ), alpha)
@@ -303,6 +313,25 @@ class TestRunMatrixOracle:
         assert run_matrix(topics, levels, alpha, rule, mode) == reference_matrix(
             topics, levels, alpha, rule, mode
         )
+
+
+class TestCellLookup:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        topics=topic_lists(),
+        levels=st.lists(st.sampled_from(ALL_LEVELS), min_size=1, max_size=4, unique=True),
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+        rule=st.sampled_from(PositiveRule),
+        mode=st.sampled_from(AggregationMode),
+    )
+    def test_every_result_is_found_by_the_spec_of_its_label(self, topics, levels, alpha, rule,
+                                                             mode):
+        results = run_matrix(topics, levels, alpha, rule, mode)
+        for res in results:
+            level, operator, rep_a, rep_b, order = res.spec.label
+            spec = CombinationSpec(rep_a, rep_b, FusionOperator(operator), PrepLevel(level),
+                                   order=None if order == "-" else CombinationOrder(order))
+            assert [found for found in results if found.spec == spec] == [res]
 
 
 class TestRunMatrixWork:

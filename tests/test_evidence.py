@@ -1,5 +1,6 @@
 """Evidence extraction from term-set overlap regions."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -39,6 +40,14 @@ class TestConsensusEvidence:
         pair = consensus_evidence(a, b, q)
         assert (pair.for_a.positive, pair.for_a.negative) == (0, 2)
         assert (pair.for_b.positive, pair.for_b.negative) == (0, 2)
+
+    @pytest.mark.parametrize("rule", list(PositiveRule))
+    def test_rule_given_by_value(self, rule):
+        assert consensus_evidence(A, B, Q, rule.value) == consensus_evidence(A, B, Q, rule)
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid PositiveRule"):
+            consensus_evidence(A, B, Q, "bogus")
 
     def test_empty_sets_allowed(self):
         pair = consensus_evidence(frozenset(), frozenset(), frozenset())

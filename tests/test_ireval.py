@@ -124,10 +124,12 @@ class TestParseQrels:
         with pytest.raises(QrelsParseError, match="duplicate"):
             parse_qrels(["q1 0 d1 1", "q1 0 d1 2"])
 
-    @pytest.mark.parametrize("grade", ["4", "-1", "x"])
+    # int() would read the last five as 1, 3, 1, 2 and 1
+    @pytest.mark.parametrize("grade", ["4", "-1", "x", "0_1", "\u0663", "\uff11", "+2", "01"])
     def test_grade_outside_scale_rejected(self, grade):
-        with pytest.raises(QrelsParseError):
-            parse_qrels([f"q1 0 d1 {grade}"])
+        with pytest.raises(QrelsParseError) as excinfo:
+            parse_qrels(["q1 0 d0 0", f"q1 0 d1 {grade}"])
+        assert str(excinfo.value) == f"line 2: grade must be one of (0, 1, 2, 3), got {grade!r}"
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(QrelsParseError, match="line 2"):

@@ -1,12 +1,14 @@
 """Byte goldens, as sha256 digests, for reports the TSV goldens do not pin.
 
 ``polyrep --format obj`` carries every per-topic opinion at full
-precision, ``evaluate`` writes the six measures per query, and
-``correlate`` writes a correlation table plus 864 plot files; all of them
-run on the bundled fixture.  The plot files are pinned by one digest over
-``name NUL bytes NUL`` for each file in name order.  The expected digests
-live in ``data/output_digests.json``; ``python tests/test_output_digests.py``
-prints the digests of the code it imports, in that file's layout.
+precision, ``prep --format obj`` every term set, ``evaluate`` writes the
+six measures per query, and ``correlate`` writes a correlation table (TSV,
+or ``correlations.json`` with ``--format obj``) plus 864 plot files; all
+of them run on the bundled fixture.  The plot files are pinned by one
+digest over ``name NUL bytes NUL`` for each file in name order.  The
+expected digests live in ``data/output_digests.json``; ``python
+tests/test_output_digests.py`` prints the digests of the code it imports,
+in that file's layout.
 """
 
 import contextlib
@@ -31,8 +33,11 @@ STDOUT_REPORTS = {
         "polyrep", "--topics", TOPICS, "--format", "obj", "--agg", "pooled",
         "--positive-rule", "intersection", "--alpha", "0.3",
     ],
+    "prep_obj": ["prep", "--topics", TOPICS, "--format", "obj"],
     "evaluate_tsv": ["evaluate", "--run", RUN, "--qrels", QRELS],
 }
+
+CORRELATE = ["correlate", "--topics", TOPICS, "--run", RUN, "--qrels", QRELS]
 
 
 def _sha256(data: bytes) -> str:
@@ -47,8 +52,7 @@ def _stdout_of(argv: list[str]) -> bytes:
 
 
 def _correlate_digests(out_dir: Path) -> dict[str, object]:
-    argv = ["correlate", "--topics", TOPICS, "--run", RUN, "--qrels", QRELS, "--out", str(out_dir)]
-    assert main(argv) == 0
+    assert main(CORRELATE + ["--out", str(out_dir)]) == 0
     plots = sorted(out_dir.glob("plot_*.tsv"))
     combined = hashlib.sha256()
     for plot in plots:
@@ -58,6 +62,11 @@ def _correlate_digests(out_dir: Path) -> dict[str, object]:
         "plot_files": len(plots),
         "plots": combined.hexdigest(),
     }
+
+
+def _correlate_obj_digest(out_dir: Path) -> str:
+    assert main(CORRELATE + ["--format", "obj", "--out", str(out_dir)]) == 0
+    return _sha256((out_dir / "correlations.json").read_bytes())
 
 
 def _expected(name: str) -> object:
@@ -73,10 +82,15 @@ def test_correlate_files_match_their_digests(tmp_path):
     assert _correlate_digests(tmp_path / "out") == _expected("correlate")
 
 
+def test_correlate_obj_report_matches_its_digest(tmp_path):
+    assert _correlate_obj_digest(tmp_path / "out") == _expected("correlate_obj_json")
+
+
 if __name__ == "__main__":
     digests: dict[str, object] = {name: _sha256(_stdout_of(argv))
                                   for name, argv in STDOUT_REPORTS.items()}
     with tempfile.TemporaryDirectory() as scratch:
         digests["correlate"] = _correlate_digests(Path(scratch) / "out")
+        digests["correlate_obj_json"] = _correlate_obj_digest(Path(scratch) / "obj")
     json.dump(digests, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
