@@ -104,6 +104,11 @@ class CombinationSpec:
     order: CombinationOrder | None = None
 
     def __post_init__(self) -> None:
+        for name, kind in (("operator", FusionOperator), ("level", PrepLevel),
+                           ("order", CombinationOrder)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) and (name, value) != ("order", None):
+                raise ValueError(f"{name} {value!r} is not a {kind.__name__}")
         for rep in (self.rep_a, self.rep_b):
             if rep not in REPRESENTATIONS:
                 raise ValueError(f"unknown representation {rep!r}")

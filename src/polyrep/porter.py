@@ -14,12 +14,12 @@ of "vc" in the stem's shape, *v* is a "v" in it, *d is a doubled last
 letter whose shape is "c", and *o is a shape ending in "cvc".
 
 Steps 2-4 map each suffix to its replacement in a dict.  A word's last n
-letters are looked up for n from the longest suffix down to 2, so the
-first hit is the longest matching suffix and decides the rule; if that
-rule's condition fails, no shorter suffix is tried.  Words of one or two
-letters are returned unchanged, and so is anything containing a
-non-alphabetic character (digit-bearing tokens are outside the algorithm's
-domain).  Input is expected to be lowercase.
+letters are looked up for each length n of the suffixes ending in its last
+letter, longest first, so the first hit is the longest matching suffix
+and decides the rule; if that rule's condition fails, no shorter suffix is
+tried.  Words of one or two letters are returned unchanged, and so is
+anything containing a non-alphabetic character (digit-bearing tokens are
+outside the algorithm's domain).  Input is expected to be lowercase.
 """
 
 from __future__ import annotations
@@ -84,7 +84,16 @@ def _step_1c(word: str) -> str:
     return word
 
 
-_STEP_2_RULES = {
+class _Rules(dict[str, str]):
+    """Suffix -> replacement; ``lengths``: last letter -> its suffixes' lengths, longest first."""
+
+    def __init__(self, rules: dict[str, str]) -> None:
+        super().__init__(rules)
+        ends = {suffix[-1] for suffix in rules}
+        self.lengths = {e: sorted({len(s) for s in rules if s[-1] == e})[::-1] for e in ends}
+
+
+_STEP_2_RULES = _Rules({
     "ational": "ate",
     "ization": "ize",
     "iveness": "ive",
@@ -105,9 +114,9 @@ _STEP_2_RULES = {
     "alli": "al",
     "ator": "ate",
     "eli": "e",
-}
+})
 
-_STEP_3_RULES = {
+_STEP_3_RULES = _Rules({
     "icate": "ic",
     "ative": "",
     "alize": "al",
@@ -115,9 +124,9 @@ _STEP_3_RULES = {
     "ical": "ic",
     "ness": "",
     "ful": "",
-}
+})
 
-_STEP_4_RULES = {
+_STEP_4_RULES = _Rules({
     "ement": "",
     "ance": "",
     "ence": "",
@@ -137,17 +146,15 @@ _STEP_4_RULES = {
     "er": "",
     "ic": "",
     "ou": "",
-}
-
-_LONGEST_SUFFIX = max(map(len, {**_STEP_2_RULES, **_STEP_3_RULES, **_STEP_4_RULES}))
+})
 
 
-def _apply_table(word: str, rules: dict[str, str], minimum_measure: int) -> str:
+def _apply_table(word: str, rules: _Rules, minimum_measure: int) -> str:
     """Rewrite by the longest matching suffix, gated on the stem's measure.
 
     The suffix "ion" (step 4) also needs a stem that ends in s or t.
     """
-    for n in range(_LONGEST_SUFFIX, 1, -1):
+    for n in rules.lengths.get(word[-1:], ()):
         suffix = word[-n:]  # the whole word when it is shorter than n
         if suffix in rules:
             stem = word[: len(word) - len(suffix)]

@@ -1,7 +1,9 @@
 """Tokenization at four cumulative preprocessing levels.
 
 Level I keeps whitespace-separated tokens verbatim.  Level II lowercases
-and splits on every character that is neither letter nor digit.  Level III
+and splits on every character that is neither letter nor digit in any
+script (``str.isalpha`` or ``str.isdigit``): one ``str.translate`` turns
+each such character into a space and ``str.split`` cuts there.  Level III
 additionally drops members of the bundled SMART stopword list, and level
 IV Porter-stems the survivors.  Every level returns a deduplicated term
 set; term frequency and order are discarded deliberately.  Levels III and
@@ -19,7 +21,6 @@ import enum
 import re
 from contextlib import contextmanager
 from importlib import resources
-from itertools import groupby
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator
 
@@ -58,13 +59,20 @@ def is_stopword(term: str) -> bool:
     return term in _STOPWORDS
 
 
+class _Separators(dict):
+    """``str.translate`` table: a letter or digit stays, anything else becomes a space."""
+
+    def __missing__(self, point: int) -> int | str:  # past ASCII; stores nothing
+        return point if chr(point).isalpha() or chr(point).isdigit() else " "
+
+
+_SEPARATORS = _Separators()
+_SEPARATORS.update((point, _SEPARATORS[point]) for point in range(128))
+
+
 def _alnum_tokens(text: str) -> list[str]:
     # A token is a maximal run of letters/digits; everything else separates.
-    return [
-        "".join(run)
-        for is_word, run in groupby(text, key=lambda ch: ch.isalpha() or ch.isdigit())
-        if is_word
-    ]
+    return text.translate(_SEPARATORS).split()
 
 
 def _step(text: str, level: PrepLevel, below: TermSet | None) -> TermSet:

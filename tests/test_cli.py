@@ -93,6 +93,27 @@ class TestPrep:
         lines = capsys.readouterr().out.splitlines()[1:]
         assert lines and all(line.split("\t")[2] == "II" for line in lines)
 
+    def test_non_ascii_text(self, tmp_path, capsys):
+        # Level II keeps maximal runs of letters and digits of any script:
+        # "²" and "٣" are digits, while "½", "Ⅻ", "〇", "_" and U+3000 separate.
+        topics = tmp_path / "topics.jsonl"
+        topics.write_text(
+            TOPIC_TEMPLATE.format(qid="u1", need="Café½x² ٣٤_naïve Ⅻ〇 über\u3000end",
+                                  background="b", task="w", ideal="i", keywords="k") + "\n",
+            encoding="utf-8",
+        )
+        assert main(["prep", "--topics", str(topics), "--prep", "I,II,IV"]) == 0
+        assert capsys.readouterr().out == (
+            "topic\trepresentation\tlevel\tterms\n"
+            "u1\tinformation_need\tI\tCafé½x² end über ٣٤_naïve Ⅻ〇\n"
+            "u1\tinformation_need\tII\tcafé end naïve x² über ٣٤\n"
+            "u1\tinformation_need\tIV\tcafé end naïv x² über ٣٤\n"
+            "u1\tbackground\tI\tb\nu1\tbackground\tII\tb\nu1\tbackground\tIV\t\n"
+            "u1\twork_task\tI\tw\nu1\twork_task\tII\tw\nu1\twork_task\tIV\t\n"
+            "u1\tideal_answer\tI\ti\nu1\tideal_answer\tII\ti\nu1\tideal_answer\tIV\t\n"
+            "u1\tkeywords\tI\tk\nu1\tkeywords\tII\tk\nu1\tkeywords\tIV\t\n"
+        )
+
 
 class TestPolyrep:
     def test_matches_golden(self, capsys):

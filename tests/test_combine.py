@@ -149,6 +149,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="consensus cell takes no order"):
             spec_for(FusionOperator.CONSENSUS, order=order)
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            # a string is never CombinationOrder.AB, so "AB" would fuse the BA cell
+            (dict(operator=FusionOperator.RECOMMENDATION, order="AB"), "order 'AB'"),
+            # a string is never FusionOperator.CONSENSUS, so it would fuse as a recommendation
+            (dict(operator="consensus", order=CombinationOrder.AB), "operator 'consensus'"),
+            (dict(operator="consensus"), "operator 'consensus'"),
+            # a string level is no step of the level cascade
+            (dict(operator=FusionOperator.CONSENSUS, level="I"), "level 'I'"),
+        ],
+    )
+    def test_fields_that_are_not_enum_members_rejected(self, fields, named):
+        with pytest.raises(ValueError, match=f"^{named} is not a "):
+            spec_for(**fields)
+
     def test_topic_requires_id_and_keywords(self):
         with pytest.raises(ValueError):
             make_topic(id=" ")

@@ -3,7 +3,10 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyrep import porter
 from polyrep.porter import _measure, porter_stem
 
 PAIRS_FILE = Path(__file__).parent / "data" / "porter_pairs.txt"
@@ -68,3 +71,58 @@ class TestSpecialCases:
 )
 def test_measure_of_the_paper_examples(stem, m):
     assert _measure(stem) == m
+
+
+_TABLES = [
+    (porter._STEP_2_RULES, 0),
+    (porter._STEP_3_RULES, 0),
+    (porter._STEP_4_RULES, 1),
+]
+_SUFFIXES = sorted({suffix for rules, _ in _TABLES for suffix in rules})
+
+
+def _longest_n_scan(word, rules, minimum_measure):
+    """The suffix search as a scan of the word's last n letters, longest n first."""
+    for n in range(max(map(len, _SUFFIXES)), 1, -1):
+        suffix = word[-n:]  # the whole word when it is shorter than n
+        if suffix in rules:
+            stem = word[: len(word) - len(suffix)]
+            if (suffix != "ion" or stem.endswith(("s", "t"))) and _measure(stem) > minimum_measure:
+                return stem + rules[suffix]
+            return word
+    return word
+
+
+_letters = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=10)
+_words = st.one_of(
+    _letters,
+    st.tuples(_letters, st.sampled_from(_SUFFIXES)).map("".join),
+)
+
+
+_LISTED = [
+    # every suffix itself ("ation", "ness", "ion", ...) and words shorter than the suffixes they end
+    *_SUFFIXES, "on", "n", "ess", "tion", "ti", "i", "",
+    # stems that pass or fail the measure and the s/t condition of "ion"
+    "relational", "rational", "adoption", "conversion", "nation", "hopefulness",
+    "electrical", "formalize", "adjustment", "revival", "communism",
+    # last letters that end no suffix
+    "jazz", "quick", "sky", "hop", "b", "x", "awkward",
+]
+
+
+class TestSuffixLookupOracle:
+    @pytest.mark.parametrize("rules, minimum_measure", _TABLES)
+    def test_listed_words(self, rules, minimum_measure):
+        for word in _LISTED:
+            assert porter._apply_table(word, rules, minimum_measure) == _longest_n_scan(
+                word, rules, minimum_measure
+            ), word
+
+    @settings(max_examples=500)
+    @given(_words)
+    def test_random_words(self, word):
+        for rules, minimum_measure in _TABLES:
+            assert porter._apply_table(word, rules, minimum_measure) == _longest_n_scan(
+                word, rules, minimum_measure
+            )

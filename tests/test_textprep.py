@@ -3,7 +3,7 @@
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrep import textprep
@@ -192,3 +192,26 @@ class TestCascade:
     def test_levels_that_read_the_text_refuse_a_set_from_below(self, level):
         with pytest.raises(ValueError, match=f"level {level.value} reads the text"):
             tokenize("a b", level, frozenset({"a"}))
+
+
+def _alnum_runs(text):
+    """Level II one character at a time: the maximal runs of letters and digits."""
+    runs, run = [], ""
+    for char in text.lower():
+        if char.isalpha() or char.isdigit():
+            run += char
+        elif run:
+            runs.append(run)
+            run = ""
+    return frozenset(runs + [run] if run else runs)
+
+
+class TestCasePunctOracle:
+    @settings(max_examples=500)
+    @given(st.text())
+    @example("Café½x² ٣٤_naïve Ⅻ〇 über\u3000end")
+    @example("a\u0085b\u3000c\x1cd\x1de\x1ff\x1eg_h")
+    def test_matches_the_per_character_reference(self, text):
+        assert tokenize(text, PrepLevel.CASE_PUNCT) == _alnum_runs(text)
+        # the table answers code points past ASCII without storing them
+        assert len(textprep._SEPARATORS) == 128
