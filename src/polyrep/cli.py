@@ -27,7 +27,7 @@ from typing import IO, Callable
 
 from .combine import (
     REPORT_HEADER,
-    TOPIC_FIELDS,
+    TOPIC_TEXTS,
     AggregationMode,
     CombinationResult,
     FusionOperator,
@@ -40,6 +40,7 @@ from .ireval import (
     CORRELATION_COLUMNS,
     EVALUATION_DEPTH,
     MetricReport,
+    _decimal,
     correlation_table,
     evaluate_run,
     parse_qrels,
@@ -48,8 +49,6 @@ from .ireval import (
     write_plot_data,
 )
 from .textprep import PrepLevel, reading, term_sets
-
-_DUMPED_REPRESENTATIONS = TOPIC_FIELDS[1:]  # the four context fields plus keywords
 
 _SHOWN_IDS = 5  # query ids a diagnostic names before eliding the rest
 
@@ -118,7 +117,7 @@ def _parse_levels(text: str) -> list[PrepLevel]:
 
 def _parse_alpha(text: str) -> float:
     try:
-        alpha = float(text)
+        alpha = _decimal(text)
     except ValueError as exc:
         raise CliError(f"bad alpha {text!r}") from exc
     if not 0.0 <= alpha <= 1.0:
@@ -165,7 +164,7 @@ def cmd_prep(args: argparse.Namespace) -> int:
     levels = _parse_levels(args.prep)
     rows = []
     for topic in topics:
-        for representation in _DUMPED_REPRESENTATIONS:
+        for representation in TOPIC_TEXTS:
             sets = term_sets(getattr(topic, representation), levels)
             rows.extend((topic.id, representation, level.value, sorted(sets[level]))
                         for level in levels)

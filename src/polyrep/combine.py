@@ -41,7 +41,10 @@ from .textprep import PrepLevel, TermSet, reading, term_sets, tokenize
 #: representation always plays the role of the query.
 REPRESENTATIONS = ("information_need", "background", "work_task", "ideal_answer")
 
-TOPIC_FIELDS = ("id", "information_need", "background", "work_task", "ideal_answer", "keywords")
+#: A topic's five texts: the context representations, then the keywords.
+TOPIC_TEXTS = (*REPRESENTATIONS, "keywords")
+
+TOPIC_FIELDS = ("id", *TOPIC_TEXTS)
 
 DEFAULT_ALPHA = 0.5
 
@@ -145,14 +148,6 @@ def _evidence(sets: dict[str, TermSet], spec: CombinationSpec,
     return recommendation_evidence(set_a, set_b, query)
 
 
-def topic_evidence(topic: Topic, spec: CombinationSpec,
-                   positive_rule: PositiveRule = PositiveRule.UNION) -> EvidencePair:
-    """Extract the (rep_a, rep_b) evidence counts for one topic."""
-    names = ("keywords", spec.rep_a, spec.rep_b)
-    return _evidence({name: tokenize(getattr(topic, name), spec.level) for name in names}, spec,
-                     positive_rule)
-
-
 def _fuse(opinion_a: Opinion, opinion_b: Opinion, spec: CombinationSpec) -> Opinion:
     if spec.operator is FusionOperator.CONSENSUS:
         return consensus(opinion_a, opinion_b)
@@ -164,7 +159,9 @@ def _fuse(opinion_a: Opinion, opinion_b: Opinion, spec: CombinationSpec) -> Opin
 def combine_topic(topic: Topic, spec: CombinationSpec, alpha: float = DEFAULT_ALPHA,
                   positive_rule: PositiveRule = PositiveRule.UNION) -> tuple[Opinion, float]:
     """Fuse one topic's pair under the run's alpha and rule; returns (opinion, expectation)."""
-    pair = topic_evidence(topic, spec, positive_rule)
+    names = ("keywords", spec.rep_a, spec.rep_b)
+    pair = _evidence({name: tokenize(getattr(topic, name), spec.level) for name in names}, spec,
+                     positive_rule)
     fused = _fuse(from_evidence(pair.for_a, alpha), from_evidence(pair.for_b, alpha), spec)
     return fused, expectation(fused)
 
@@ -209,8 +206,7 @@ def run_matrix(
     ]
     opinion = cache(lambda counts: from_evidence(counts, alpha))
     for topic in topics:
-        by_text = {name: term_sets(getattr(topic, name), levels)
-                   for name in ("keywords", *REPRESENTATIONS)}
+        by_text = {name: term_sets(getattr(topic, name), levels) for name in TOPIC_TEXTS}
         for level, groups in zip(levels, table):
             sets = {name: level_sets[level] for name, level_sets in by_text.items()}
             for cells, sums in groups:

@@ -8,8 +8,8 @@ the file is never trusted.  Judgments (``qid 0 docid grade``) carry grades
 Six effectiveness measures are computed per query, all in one walk of its
 ranking by :func:`evaluate_query`, and averaged over every judged query:
 average precision (reported as map), NDCG at the evaluation depth, bpref,
-P@10 (:func:`precision_at`), NDCG@10 and reciprocal rank (mrr).  Queries
-without relevant judgments score zero and stay in the mean.
+P@10, NDCG@10 and reciprocal rank (mrr).  Queries without relevant
+judgments score zero and stay in the mean.
 
 :func:`spearman` is the rank correlation used to relate fused-opinion
 components to per-query effectiveness; :func:`correlation_table` ranks
@@ -106,12 +106,19 @@ def _fields(
             yield number, fields
 
 
+def _decimal(text: str) -> float:
+    """``float(text)`` for plain ASCII only: ``float`` alone reads ``1_0`` as 10 and ``٣`` as 3."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII decimal: {text!r}")
+    return float(text)
+
+
 def parse_run(source: str | Path | Iterable[str]) -> RunList:
     """Parse a run file; duplicate documents within a query are rejected."""
     scored: dict[str, dict[str, float]] = {}
     for number, (qid, _, docid, _, score_text, _) in _fields(source, 6, RunParseError):
         try:
-            score = float(score_text)
+            score = _decimal(score_text)
         except ValueError as exc:
             raise RunParseError(f"line {number}: bad score {score_text!r}") from exc
         if not math.isfinite(score):
@@ -208,16 +215,6 @@ def ndcg_at(run: RunList, qrels: Qrels, qid: str, k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     return _ndcg(*_grades(run, qrels, qid), k)
-
-
-def precision_at(run: RunList, qrels: Qrels, qid: str) -> float:
-    """Fraction of the top 10 that is relevant: ``evaluate_query``'s p10."""
-    return evaluate_query(run, qrels, qid)["p10"]
-
-
-def mrr(run: RunList, qrels: Qrels, qid: str) -> float:
-    """Reciprocal rank of the first relevant retrieved document: ``evaluate_query``'s mrr."""
-    return evaluate_query(run, qrels, qid)["mrr"]
 
 
 def bpref(run: RunList, qrels: Qrels, qid: str) -> float:

@@ -54,11 +54,6 @@ _STOPWORDS: frozenset[str] = frozenset(
 )
 
 
-def is_stopword(term: str) -> bool:
-    """True iff the (already lowercased) term is in the SMART stopword list."""
-    return term in _STOPWORDS
-
-
 class _Separators(dict):
     """``str.translate`` table: a letter or digit stays, anything else becomes a space."""
 

@@ -1,0 +1,43 @@
+"""The names the benchmark's tracer probes still exist and are reached.
+
+``perfbench/tracer.py`` times each layer by rebinding package functions by
+name.  A probed function that is renamed or removed is reported as absent,
+and a span its callers must enter but never do as unreached; either one
+leaves a per-layer metric without a value, although the command still exits
+0.  These tests trace the fixture through both matrix commands and require
+neither list to hold anything.  They guard that surface until the package
+emits its own stage spans and the tracer only reads them (ROADMAP item 2).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+TOPICS = ["--topics", str(DATA / "topics.jsonl")]
+RUN = ["--run", str(DATA / "run.txt"), "--qrels", str(DATA / "qrels.txt")]
+
+
+@pytest.mark.parametrize("command", [
+    ["polyrep", *TOPICS],
+    ["correlate", *TOPICS, *RUN, "--format", "obj", "--out", "{out}"],
+], ids=["polyrep", "correlate"])
+def test_traced_command_leaves_no_probe_absent_or_unreached(command, tmp_path):
+    report = tmp_path / "trace.json"
+    argv = [arg.format(out=tmp_path / "out") for arg in command]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--report", str(report),
+         "--", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(report.read_text(encoding="utf-8"))
+    assert trace["absent"] == []
+    assert trace["unreached"] == []

@@ -221,6 +221,22 @@ class TestPolyrep:
         assert out.out == ""
         assert out.err == "polyrep: error: bad alpha 'abc'\n"
 
+    # float() alone reads these as 0.5, 0.1 and 5.0
+    @pytest.mark.parametrize("alpha", ["\u0660.\u0665", "1_0e-1", "0_5"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_alpha_must_be_plain_ascii(self, via, alpha, tmp_path, capsys):
+        argv = ["polyrep", "--topics", str(DATA / "topics.jsonl")]
+        if via == "flag":
+            argv += ["--alpha", alpha]
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text(f"alpha={alpha}\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"polyrep: error: bad alpha {alpha!r}\n"
+
     def test_duplicate_topic_id_rejected(self, tmp_path, capsys):
         first = DATA.joinpath("topics.jsonl").read_text().splitlines()[0]
         topics = tmp_path / "topics.jsonl"

@@ -25,12 +25,11 @@ from polyrep.combine import (
     parse_topics,
     rank_combinations,
     run_matrix,
-    topic_evidence,
     write_report,
 )
-from polyrep.evidence import PositiveRule
+from polyrep.evidence import PositiveRule, consensus_evidence, recommendation_evidence
 from polyrep.opinions import EvidenceCounts, consensus, expectation, from_evidence, recommendation
-from polyrep.textprep import PrepLevel
+from polyrep.textprep import PrepLevel, tokenize
 
 TOL = 1e-9
 DATA = Path(__file__).parent / "data"
@@ -287,8 +286,17 @@ def topic_lists(draw):
     return [Topic(f"t{number}", *texts[pick]) for number, pick in enumerate(picks)]
 
 
+def reference_evidence(topic, spec, rule):
+    """One topic's evidence for a cell, from its three texts tokenized at the cell's level."""
+    set_a, set_b, query = (tokenize(getattr(topic, name), spec.level)
+                           for name in (spec.rep_a, spec.rep_b, "keywords"))
+    if spec.operator is FusionOperator.CONSENSUS:
+        return consensus_evidence(set_a, set_b, query, rule)
+    return recommendation_evidence(set_a, set_b, query)
+
+
 def reference_matrix(topics, levels, alpha, rule, mode):
-    """``run_matrix`` rebuilt cell by cell from ``combine_topic`` and ``topic_evidence``."""
+    """``run_matrix`` rebuilt cell by cell from ``combine_topic`` and ``reference_evidence``."""
     results = []
     for level in levels:
         for spec in matrix_specs(level):
@@ -298,7 +306,7 @@ def reference_matrix(topics, levels, alpha, rule, mode):
             if mode is AggregationMode.MACRO:
                 aggregate = sum(value for _, _, value in per_topic) / len(per_topic)
             else:
-                pairs = [topic_evidence(topic, spec, rule) for topic in topics]
+                pairs = [reference_evidence(topic, spec, rule) for topic in topics]
                 side_a = from_evidence(EvidenceCounts(
                     sum(p.for_a.positive for p in pairs), sum(p.for_a.negative for p in pairs)
                 ), alpha)

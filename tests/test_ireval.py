@@ -35,11 +35,9 @@ from polyrep.ireval import (
     correlation_table,
     evaluate_query,
     evaluate_run,
-    mrr,
     ndcg_at,
     parse_qrels,
     parse_run,
-    precision_at,
     spearman,
     write_metric_report,
     write_plot_data,
@@ -93,6 +91,13 @@ class TestParseRun:
     def test_bad_score_rejected(self):
         with pytest.raises(RunParseError, match="score"):
             parse_run(["q1 Q0 d1 1 abc t"])
+
+    # float() alone reads these as 10.0, 3.0, 1.0 and 0.1
+    @pytest.mark.parametrize("score", ["1_0", "\u0663", "\uff11", "1_0e-1"])
+    def test_score_must_be_plain_ascii(self, score):
+        with pytest.raises(RunParseError) as excinfo:
+            parse_run(["q1 Q0 d1 1 1.0 t", f"q1 Q0 d2 2 {score} t"])
+        assert str(excinfo.value) == f"line 2: bad score {score!r}"
 
     @pytest.mark.parametrize("score", ["inf", "-inf", "nan"])
     def test_non_finite_score_rejected(self, score):
@@ -199,34 +204,34 @@ class TestPrecisionAtTen:
     def test_perfect_top_ten(self):
         run = run_of("q", [f"d{i}" for i in range(10)])
         qrels = qrels_of("q", {f"d{i}": 1 for i in range(10)})
-        assert precision_at(run, qrels, "q") == 1.0
+        assert evaluate_query(run, qrels, "q")["p10"] == 1.0
 
     def test_no_relevant_in_top_ten(self):
         run = run_of("q", [f"d{i}" for i in range(10)])
         qrels = qrels_of("q", {"other": 1})
-        assert precision_at(run, qrels, "q") == 0.0
+        assert evaluate_query(run, qrels, "q")["p10"] == 0.0
 
     def test_three_relevant(self):
         run = run_of("q", [f"d{i}" for i in range(10)])
         qrels = qrels_of("q", {"d0": 1, "d4": 2, "d9": 3})
-        assert precision_at(run, qrels, "q") == pytest.approx(0.3, abs=TOL)
+        assert evaluate_query(run, qrels, "q")["p10"] == pytest.approx(0.3, abs=TOL)
 
     def test_short_rankings_count_misses(self):
         run = run_of("q", ["d0"])
         qrels = qrels_of("q", {"d0": 1})
-        assert precision_at(run, qrels, "q") == pytest.approx(0.1, abs=TOL)
+        assert evaluate_query(run, qrels, "q")["p10"] == pytest.approx(0.1, abs=TOL)
 
 
 class TestMrr:
     def test_first_document_relevant(self):
-        assert mrr(run_of("q", ["d1"]), qrels_of("q", {"d1": 1}), "q") == 1.0
+        assert evaluate_query(run_of("q", ["d1"]), qrels_of("q", {"d1": 1}), "q")["mrr"] == 1.0
 
     def test_first_relevant_at_rank_two(self):
         run = run_of("q", ["d3", "d1"])
-        assert mrr(run, qrels_of("q", {"d1": 1, "d3": 0}), "q") == 0.5
+        assert evaluate_query(run, qrels_of("q", {"d1": 1, "d3": 0}), "q")["mrr"] == 0.5
 
     def test_none_relevant(self):
-        assert mrr(run_of("q", ["d3"]), qrels_of("q", {"d3": 0}), "q") == 0.0
+        assert evaluate_query(run_of("q", ["d3"]), qrels_of("q", {"d3": 0}), "q")["mrr"] == 0.0
 
 
 class TestBpref:
@@ -329,10 +334,10 @@ class TestOracleEquivalence:
                 assert ndcg_at(run, qrels, "q", k) == pytest.approx(
                     oracles.ndcg_naive(ranked, judgments, k), abs=TOL
                 )
-            assert precision_at(run, qrels, "q") == pytest.approx(
+            assert evaluate_query(run, qrels, "q")["p10"] == pytest.approx(
                 oracles.precision_naive(ranked, judgments, 10), abs=TOL
             )
-            assert mrr(run, qrels, "q") == pytest.approx(
+            assert evaluate_query(run, qrels, "q")["mrr"] == pytest.approx(
                 oracles.rr_naive(ranked, judgments), abs=TOL
             )
             assert bpref(run, qrels, "q") == pytest.approx(
@@ -398,9 +403,7 @@ class TestBeyondFiveDocuments:
         assert average_precision(run, qrels, "q") == got["map"]
         assert ndcg_at(run, qrels, "q", 1000) == got["ndcg"]
         assert bpref(run, qrels, "q") == got["bpref"]
-        assert precision_at(run, qrels, "q") == got["p10"]
         assert ndcg_at(run, qrels, "q", 10) == got["ndcg10"]
-        assert mrr(run, qrels, "q") == got["mrr"]
 
 
 class TestSpearman:

@@ -154,6 +154,13 @@ class TestFromEvidence:
         opinion = from_evidence(EvidenceCounts(positive, total - positive), base_rate)
         assert (opinion.belief + opinion.disbelief) + opinion.uncertainty == 1.0
 
+    def test_no_additive_nudge_is_an_error_naming_the_counts(self, monkeypatch):
+        # (1, 4) needs the nudge; an unmoved complement still closes its sum, so offer nothing
+        assert (1 / 7 + 4 / 7) + 2 / 7 != 1.0
+        monkeypatch.setattr("polyrep.opinions._ulp_neighbours", lambda value, steps: [])
+        with pytest.raises(ValueError, match=r"^no additive masses .* for r=1, s=4$"):
+            from_evidence(EvidenceCounts(1, 4), 0.5)
+
     def test_uncertainty_vanishes_with_mass_of_evidence(self):
         assert from_evidence(EvidenceCounts(10**6, 10**6), 0.5).uncertainty < 1e-5
 

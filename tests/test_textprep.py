@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from polyrep import textprep
 from polyrep.porter import porter_stem
-from polyrep.textprep import PrepLevel, is_stopword, term_sets, tokenize
+from polyrep.textprep import PrepLevel, term_sets, tokenize
+
+# The bundled stoplist read directly, apart from the set textprep builds from it.
+_STOPLIST = sorted(
+    (resources.files("polyrep") / "data" / "smart_stopwords.txt").read_text().split()
+)
+_STOPSET = frozenset(_STOPLIST)
 
 texts = st.text(
     alphabet=st.characters(codec="ascii", categories=["L", "N", "P", "Z"]),
@@ -64,17 +70,20 @@ class TestLevels:
 
 class TestStopwords:
     def test_the_is_a_stopword(self):
-        assert is_stopword("the")
+        assert "the" in _STOPSET
+        assert tokenize("the", PrepLevel.STOP) == frozenset()
 
     def test_quark_is_not(self):
-        assert not is_stopword("quark")
+        assert "quark" not in _STOPSET
+        assert tokenize("quark", PrepLevel.STOP) == {"quark"}
 
     def test_empty_string_is_not(self):
-        assert not is_stopword("")
+        assert "" not in textprep._STOPWORDS
 
     def test_membership_is_case_sensitive_by_contract(self):
-        # callers lowercase first; the list itself stores lowercase forms
-        assert not is_stopword("The")
+        # level II lowercases first; the list itself stores lowercase forms
+        assert "The" not in _STOPSET
+        assert tokenize("The", PrepLevel.STOP) == frozenset()
 
     def test_bundled_file_is_sorted_lowercase_and_deduplicated(self):
         lines = (
@@ -118,9 +127,6 @@ class TestProperties:
         assert tokenize(" ".join(once), PrepLevel.STEM) == {"experi"}
 
 
-_STOPLIST = sorted(
-    (resources.files("polyrep") / "data" / "smart_stopwords.txt").read_text().split()
-)
 # Stopwords in mixed case (some stem to non-stopwords: "was" -> "wa"), words
 # that stem, letters and digits from any script, punctuation, underscores
 # and whitespace.
@@ -142,7 +148,7 @@ def _token_list_pipeline(text, level):
         return frozenset(text.split())
     terms = textprep._alnum_tokens(text.lower())
     if level is not PrepLevel.CASE_PUNCT:
-        terms = [term for term in terms if not is_stopword(term)]
+        terms = [term for term in terms if term not in _STOPSET]
     if level is PrepLevel.STEM:
         terms = [porter_stem(term) for term in terms]
     return frozenset(terms)
