@@ -8,15 +8,8 @@ as independent sources (consensus) and as a trust-discounted chain
 (recommendation).
 """
 
-from polyrep import (
-    PositiveRule,
-    consensus,
-    consensus_evidence,
-    expectation,
-    from_evidence,
-    recommendation,
-    recommendation_evidence,
-)
+from polyrep.evidence import PositiveRule, consensus_evidence, recommendation_evidence
+from polyrep.opinions import consensus, expectation, from_evidence, recommendation
 
 ALPHA = 0.5  # uninformative prior over a binary frame
 

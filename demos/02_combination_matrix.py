@@ -10,7 +10,8 @@ ranking across all cells is printed at the end.
 
 import sys
 
-from polyrep import PrepLevel, Topic, rank_combinations, run_matrix, write_report
+from polyrep.combine import Topic, rank_combinations, run_matrix, write_report
+from polyrep.textprep import PrepLevel
 
 topics = [
     Topic(

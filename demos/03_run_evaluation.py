@@ -10,19 +10,16 @@ representations) to its average precision with a rank correlation.
 
 import sys
 
-from polyrep import (
+from polyrep.combine import CombinationSpec, FusionOperator, Topic, run_matrix
+from polyrep.ireval import (
     Component,
-    CombinationSpec,
-    FusionOperator,
-    PrepLevel,
-    Topic,
     correlate_components,
     evaluate_run,
     parse_qrels,
     parse_run,
-    run_matrix,
     write_metric_report,
 )
+from polyrep.textprep import PrepLevel
 
 RUN_LINES = """
 q1 Q0 doc-ok 1 7.1 demo

@@ -5,117 +5,9 @@ need into binomial opinions, fuses them pairwise with the consensus and
 recommendation operators, and relates the resulting combination
 probabilities to retrieval effectiveness computed from standard run and
 judgment files.
+
+Each public name is imported from the module that defines it, for
+example ``from polyrep.combine import run_matrix``.
 """
 
-from .combine import (
-    REPRESENTATIONS,
-    AggregationMode,
-    CombinationOrder,
-    CombinationResult,
-    CombinationSpec,
-    EmptyTopicListError,
-    FusionOperator,
-    Topic,
-    TopicParseError,
-    combine_topic,
-    load_topics,
-    matrix_specs,
-    parse_topics,
-    rank_combinations,
-    run_matrix,
-    write_report,
-)
-from .evidence import EvidencePair, PositiveRule, consensus_evidence, recommendation_evidence
-from .ireval import (
-    METRICS,
-    Component,
-    MetricReport,
-    NoOverlapError,
-    Qrels,
-    QrelsParseError,
-    RunList,
-    RunParseError,
-    TopicAlignmentError,
-    ZeroVarianceError,
-    average_precision,
-    bpref,
-    correlate_components,
-    correlation_table,
-    evaluate_query,
-    evaluate_run,
-    ndcg_at,
-    parse_qrels,
-    parse_run,
-    spearman,
-    write_metric_report,
-    write_plot_data,
-)
-from .opinions import (
-    DogmaticConflictError,
-    EvidenceCounts,
-    Opinion,
-    consensus,
-    expectation,
-    from_evidence,
-    recommendation,
-)
-from .porter import porter_stem
-from .textprep import PrepLevel, TermSet, tokenize
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregationMode",
-    "CombinationOrder",
-    "CombinationResult",
-    "CombinationSpec",
-    "Component",
-    "DogmaticConflictError",
-    "EmptyTopicListError",
-    "EvidenceCounts",
-    "EvidencePair",
-    "FusionOperator",
-    "METRICS",
-    "MetricReport",
-    "NoOverlapError",
-    "Opinion",
-    "PositiveRule",
-    "PrepLevel",
-    "Qrels",
-    "QrelsParseError",
-    "REPRESENTATIONS",
-    "RunList",
-    "RunParseError",
-    "TermSet",
-    "Topic",
-    "TopicAlignmentError",
-    "TopicParseError",
-    "ZeroVarianceError",
-    "average_precision",
-    "bpref",
-    "combine_topic",
-    "consensus",
-    "consensus_evidence",
-    "correlate_components",
-    "correlation_table",
-    "evaluate_query",
-    "evaluate_run",
-    "expectation",
-    "from_evidence",
-    "load_topics",
-    "matrix_specs",
-    "ndcg_at",
-    "parse_qrels",
-    "parse_run",
-    "parse_topics",
-    "porter_stem",
-    "rank_combinations",
-    "recommendation",
-    "recommendation_evidence",
-    "run_matrix",
-    "spearman",
-    "tokenize",
-    "write_metric_report",
-    "write_plot_data",
-    "write_report",
-]

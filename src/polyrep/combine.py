@@ -190,12 +190,19 @@ def run_matrix(
     cell alone, or a pair's AB and BA cells.  Per topic a group gets one
     evidence and one opinion pair, and it keeps one pooled sum; each
     distinct evidence count becomes an opinion once per call.  ``positive_rule``
-    and ``mode`` are enum members or their values; anything else raises ValueError.
+    and ``mode`` are enum members or their values; anything else raises ValueError,
+    as do no ``levels`` and a level given twice.
     """
     topics, levels = list(topics), list(levels)
     positive_rule, mode = PositiveRule(positive_rule), AggregationMode(mode)
     if not topics:
         raise EmptyTopicListError("at least one topic is required")
+    if not levels:
+        raise ValueError("at least one preprocessing level is required")
+    for index, level in enumerate(levels):
+        if level in levels[:index]:
+            raise ValueError(
+                f"preprocessing level {PrepLevel(level).value} is given more than once")
     # Per level, one (cells, pooled sums) pair per evidence group, each cell a
     # (spec, per-topic entries) pair; the sums are positive/negative for a, then b.
     table = [

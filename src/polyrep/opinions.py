@@ -58,7 +58,7 @@ class Opinion:
 
 @dataclass(frozen=True, slots=True)
 class EvidenceCounts:
-    """Nonnegative counts of supporting and opposing evidence."""
+    """Nonnegative counts of supporting and opposing evidence, each a plain ``int``, not a bool."""
 
     positive: int
     negative: int
@@ -66,7 +66,7 @@ class EvidenceCounts:
     def __post_init__(self) -> None:
         for name in ("positive", "negative"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")

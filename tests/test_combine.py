@@ -176,6 +176,18 @@ class TestRunMatrix:
         with pytest.raises(EmptyTopicListError):
             run_matrix([], [PrepLevel.RAW])
 
+    def test_no_level_rejected(self, fixture_topics):
+        with pytest.raises(ValueError, match="^at least one preprocessing level is required$"):
+            run_matrix(fixture_topics, [])
+
+    @pytest.mark.parametrize("levels", [
+        [PrepLevel.RAW, PrepLevel.RAW],
+        [PrepLevel.RAW, PrepLevel.STEM, PrepLevel.RAW],
+    ])
+    def test_repeated_level_rejected(self, fixture_topics, levels):
+        with pytest.raises(ValueError, match="^preprocessing level I is given more than once$"):
+            run_matrix(fixture_topics, levels)
+
     def test_matrix_shape(self, fixture_topics):
         results = run_matrix(fixture_topics, ALL_LEVELS)
         assert len(results) == 18 * len(ALL_LEVELS)

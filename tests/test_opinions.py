@@ -93,6 +93,11 @@ class TestEvidenceCounts:
         with pytest.raises(TypeError):
             EvidenceCounts(1.5, 0)
 
+    @pytest.mark.parametrize("counts, named", [((True, 0), "positive"), ((1, False), "negative")])
+    def test_rejects_bool(self, counts, named):
+        with pytest.raises(TypeError, match=f"^{named} must be an integer, got bool$"):
+            EvidenceCounts(*counts)
+
     def test_total(self):
         assert EvidenceCounts(3, 4).total == 7
 
