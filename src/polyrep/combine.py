@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, groupby
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .evidence import (
     EvidencePair,
@@ -78,47 +77,46 @@ class AggregationMode(enum.Enum):
     POOLED = "pooled"
 
 
-@dataclass(frozen=True)
-class Topic:
+class Topic(NamedTuple("Topic", [(name, str) for name in TOPIC_FIELDS])):
     """One query with its five textual representations."""
 
-    id: str
-    information_need: str
-    background: str
-    work_task: str
-    ideal_answer: str
-    keywords: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.id.split() != [self.id]:
-            raise ValueError(f"topic id {self.id!r} must be one token without whitespace")
-        if not self.keywords.strip():
-            raise ValueError(f"topic {self.id!r}: keywords must be nonempty")
+    def __new__(cls, id: str, information_need: str, background: str, work_task: str,
+                ideal_answer: str, keywords: str) -> Topic:
+        if id.split() != [id]:
+            raise ValueError(f"topic id {id!r} must be one token without whitespace")
+        if not keywords.strip():
+            raise ValueError(f"topic {id!r}: keywords must be nonempty")
+        return tuple.__new__(cls, (id, information_need, background, work_task, ideal_answer,
+                                   keywords))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
-@dataclass(frozen=True)
-class CombinationSpec:
+class CombinationSpec(NamedTuple("CombinationSpec", [
+        ("rep_a", str), ("rep_b", str), ("operator", FusionOperator), ("level", PrepLevel),
+        ("order", CombinationOrder | None)])):
     """One cell of the combination matrix; only a recommendation cell has an order."""
 
-    rep_a: str
-    rep_b: str
-    operator: FusionOperator
-    level: PrepLevel
-    order: CombinationOrder | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, kind in (("operator", FusionOperator), ("level", PrepLevel),
-                           ("order", CombinationOrder)):
-            value = getattr(self, name)
+    def __new__(cls, rep_a: str, rep_b: str, operator: FusionOperator, level: PrepLevel,
+                order: CombinationOrder | None = None) -> CombinationSpec:
+        for name, value, kind in (("operator", operator, FusionOperator),
+                                  ("level", level, PrepLevel), ("order", order, CombinationOrder)):
             if not isinstance(value, kind) and (name, value) != ("order", None):
                 raise ValueError(f"{name} {value!r} is not a {kind.__name__}")
-        for rep in (self.rep_a, self.rep_b):
+        for rep in (rep_a, rep_b):
             if rep not in REPRESENTATIONS:
                 raise ValueError(f"unknown representation {rep!r}")
-        if self.rep_a == self.rep_b:
+        if rep_a == rep_b:
             raise ValueError("rep_a and rep_b must differ")
-        if (self.order is None) is not (self.operator is FusionOperator.CONSENSUS):
+        if (order is None) is not (operator is FusionOperator.CONSENSUS):
             raise ValueError("a consensus cell takes no order and a recommendation cell needs one")
+        return tuple.__new__(cls, (rep_a, rep_b, operator, level, order))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     @property
     def order_label(self) -> str:
@@ -133,8 +131,7 @@ class CombinationSpec:
         return (self.level.value, self.operator.value, self.rep_a, self.rep_b, self.order_label)
 
 
-@dataclass(frozen=True)
-class CombinationResult:
+class CombinationResult(NamedTuple):
     spec: CombinationSpec
     per_topic: tuple[tuple[str, Opinion, float], ...]
     aggregate_probability: float

@@ -19,8 +19,7 @@ positive region is the rest of its representation, so r + s = |A| for A
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import AbstractSet
+from typing import AbstractSet, NamedTuple
 
 from .opinions import EvidenceCounts
 
@@ -32,8 +31,7 @@ class PositiveRule(enum.Enum):
     INTERSECTION = "intersection"
 
 
-@dataclass(frozen=True)
-class EvidencePair:
+class EvidencePair(NamedTuple):
     """Evidence counts for the two combined representations."""
 
     for_a: EvidenceCounts

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .combine import REPORT_HEADER, CombinationResult
 from .textprep import reading
@@ -69,15 +69,13 @@ class Component(enum.Enum):
     UNCERTAINTY = "uncertainty"
 
 
-@dataclass(frozen=True)
-class Qrels:
+class Qrels(NamedTuple):
     """Graded judgments: query id -> document id -> grade in 0..3."""
 
     grades: Mapping[str, Mapping[str, int]]
 
 
-@dataclass(frozen=True)
-class RunList:
+class RunList(NamedTuple):
     """Per query, documents ordered by descending score (doc id breaks ties).
 
     ``cut`` counts, for each query that retrieved more than
@@ -85,7 +83,7 @@ class RunList:
     """
 
     rankings: Mapping[str, tuple[tuple[str, float], ...]]
-    cut: Mapping[str, int] = field(default_factory=dict)
+    cut: Mapping[str, int] = MappingProxyType({})
 
 
 def _fields(
@@ -212,6 +210,8 @@ def average_precision(run: RunList, qrels: Qrels, qid: str) -> float:
 
 def ndcg_at(run: RunList, qrels: Qrels, qid: str, k: int) -> float:
     """Discounted cumulative gain in the top k (k >= 1), normalised by the ideal ordering."""
+    if type(k) is not int:
+        raise TypeError(f"k must be an integer, got {type(k).__name__}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     return _ndcg(*_grades(run, qrels, qid), k)
@@ -222,8 +222,7 @@ def bpref(run: RunList, qrels: Qrels, qid: str) -> float:
     return evaluate_query(run, qrels, qid)["bpref"]
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """Per-query and mean values for the six effectiveness measures."""
 
     per_query: Mapping[str, Mapping[str, float]]
@@ -282,9 +281,15 @@ def _rank_correlation(rx: Sequence[int], ry: Sequence[int]) -> float:
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Rank correlation with tie-averaged ranks, exact in integer arithmetic."""
+    """Rank correlation with tie-averaged ranks, exact in integer arithmetic.
+
+    A NaN or infinite value raises ValueError: sorting with NaN is ill-defined.
+    """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    for name, values in (("xs", xs), ("ys", ys)):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{name} holds a non-finite value")
     return _rank_correlation(_average_ranks_doubled(xs), _average_ranks_doubled(ys))
 
 
@@ -301,7 +306,9 @@ def correlation_table(
     ranked once and shared by the cells that read it; ``rho`` is :func:`spearman`
     of the two.  A constant rank vector raises :class:`ZeroVarianceError`
     naming the first such cell, and a metric outside :data:`METRICS` a ValueError.
+    Components are :class:`Component` members or their values; anything else is a ValueError.
     """
+    components = [Component(component) for component in components]
     for metric in metrics:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")

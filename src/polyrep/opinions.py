@@ -17,7 +17,7 @@ counts with :func:`from_evidence`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Numeric tolerance for validating additivity and component bounds.
 TOLERANCE = 1e-9
@@ -33,43 +33,45 @@ class DogmaticConflictError(ValueError):
     """
 
 
-@dataclass(frozen=True, slots=True)
-class Opinion:
+class Opinion(NamedTuple("Opinion", [("belief", float), ("disbelief", float),
+                                      ("uncertainty", float), ("base_rate", float)])):
     """A validated (belief, disbelief, uncertainty, base_rate) quadruple."""
 
-    belief: float
-    disbelief: float
-    uncertainty: float
-    base_rate: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("belief", "disbelief", "uncertainty", "base_rate"):
-            value = getattr(self, name)
+    def __new__(cls, belief: float, disbelief: float, uncertainty: float,
+                base_rate: float) -> Opinion:
+        fields = (belief, disbelief, uncertainty, base_rate)
+        for name, value in zip(cls._fields, fields):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if not -TOLERANCE <= value <= 1.0 + TOLERANCE:
                 raise ValueError(f"{name} outside [0, 1]: {value!r}")
-        total = self.belief + self.disbelief + self.uncertainty
+        total = belief + disbelief + uncertainty
         if abs(total - 1.0) > TOLERANCE:
             raise ValueError(
                 f"belief + disbelief + uncertainty must equal 1, got {total!r}"
             )
+        return tuple.__new__(cls, fields)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
-@dataclass(frozen=True, slots=True)
-class EvidenceCounts:
+class EvidenceCounts(NamedTuple("EvidenceCounts", [("positive", int), ("negative", int)])):
     """Nonnegative counts of supporting and opposing evidence, each a plain ``int``, not a bool."""
 
-    positive: int
-    negative: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("positive", "negative"):
-            value = getattr(self, name)
+    def __new__(cls, positive: int, negative: int) -> EvidenceCounts:
+        fields = (positive, negative)
+        for name, value in zip(cls._fields, fields):
             if type(value) is not int:
                 raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+        return tuple.__new__(cls, fields)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     @property
     def total(self) -> int:

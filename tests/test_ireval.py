@@ -191,6 +191,13 @@ class TestNdcg:
         with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
             ndcg_at(run, qrels_of("q", {"d1": 0, "d2": 1}), "q", k)
 
+    @pytest.mark.parametrize("k", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_cutoff_not_an_int_rejected(self, k):
+        # 2.5 used to fail inside slicing and True to be read as 1
+        run = run_of("q", ["d1", "d2"])
+        with pytest.raises(TypeError, match=f"^k must be an integer, got {type(k).__name__}$"):
+            ndcg_at(run, qrels_of("q", {"d1": 0, "d2": 1}), "q", k)
+
     def test_gains_are_the_raw_grades(self):
         # one grade-2 doc at rank 1 with a grade-3 doc unretrieved:
         # dcg = 2, idcg = 3 + 2/log2(3)
@@ -429,6 +436,15 @@ class TestSpearman:
         with pytest.raises(ZeroVarianceError):
             spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    def test_non_finite_rejected(self, bad, side):
+        # sorting with NaN is ill-defined: [1, 2, nan] against [1, 2, 3] used to give 1.0
+        vectors = {"xs": [1.0, 2.0, 3.0], "ys": [1.0, 2.0, 3.0]}
+        vectors[side][2] = bad
+        with pytest.raises(ValueError, match=f"^{side} holds a non-finite value$"):
+            spearman(vectors["xs"], vectors["ys"])
+
     def test_random_vectors_match_oracle_and_scipy(self):
         rng = random.Random(42)
         for _ in range(300):
@@ -515,6 +531,20 @@ class TestCorrelateComponents:
         rho = correlate_components(result, report, Component.UNCERTAINTY)
         assert rho == pytest.approx(expected, abs=TOL)
 
+    @pytest.mark.parametrize("component", list(Component))
+    def test_component_given_by_value(self, component):
+        result = result_with_beliefs([("t1", 0.5), ("t2", 0.3), ("t3", 0.1)],
+                                     uncertainties=[0.1, 0.5, 0.3])
+        report = report_with([("t1", 0.9), ("t2", 0.3), ("t3", 0.5)])
+        assert (correlate_components(result, report, component.value)
+                == correlate_components(result, report, component))
+
+    def test_unknown_component_named(self):
+        result = result_with_beliefs([("t1", 0.2), ("t2", 0.6)])
+        report = report_with([("t1", 0.1), ("t2", 0.9)])
+        with pytest.raises(ValueError, match="'beleif' is not a valid Component"):
+            correlate_components(result, report, "beleif")
+
     def test_unknown_metric_rejected(self):
         result = result_with_beliefs([("t1", 0.2), ("t2", 0.6)])
         report = report_with([("t1", 0.1), ("t2", 0.9)])
@@ -599,6 +629,15 @@ class TestCorrelationTable:
             correlation_table([result], report, metrics=("map", "bogus"))
         with pytest.raises(ValueError, match=expected):
             correlate_components(result, report, Component.BELIEF, "bogus")
+
+    def test_components_given_by_value(self):
+        result = result_with_beliefs([("t1", 0.5), ("t2", 0.3), ("t3", 0.1)],
+                                     uncertainties=[0.1, 0.5, 0.3])
+        report = report_with([("t1", 0.9), ("t2", 0.3), ("t3", 0.5)])
+        assert (correlation_table([result], report, ("belief", "uncertainty"))
+                == correlation_table([result], report, tuple(Component)))
+        with pytest.raises(ValueError, match="'beleif' is not a valid Component"):
+            correlation_table([result], report, ("belief", "beleif"))
 
     @settings(max_examples=100, deadline=None)
     @given(table_inputs(), st.booleans())
