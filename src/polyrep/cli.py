@@ -48,7 +48,7 @@ from .ireval import (
     write_metric_report,
     write_plot_data,
 )
-from .textprep import PrepLevel, reading, term_sets
+from .textprep import PrepLevel, Stems, reading, term_sets
 
 _SHOWN_IDS = 5  # query ids a diagnostic names before eliding the rest
 
@@ -163,9 +163,10 @@ def cmd_prep(args: argparse.Namespace) -> int:
     topics = load_topics(args.topics)
     levels = _parse_levels(args.prep)
     rows = []
+    stems = Stems()
     for topic in topics:
         for representation in TOPIC_TEXTS:
-            sets = term_sets(getattr(topic, representation), levels)
+            sets = term_sets(getattr(topic, representation), levels, stems)
             rows.extend((topic.id, representation, level.value, sorted(sets[level]))
                         for level in levels)
 

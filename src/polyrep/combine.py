@@ -34,7 +34,7 @@ from .evidence import (
     recommendation_evidence,
 )
 from .opinions import EvidenceCounts, Opinion, consensus, expectation, from_evidence, recommendation
-from .textprep import PrepLevel, TermSet, reading, term_sets, tokenize
+from .textprep import PrepLevel, Stems, TermSet, reading, term_sets, tokenize
 
 #: The four context representations combined pairwise; the keyword
 #: representation always plays the role of the query.
@@ -78,18 +78,21 @@ class AggregationMode(enum.Enum):
 
 
 class Topic(NamedTuple("Topic", [(name, str) for name in TOPIC_FIELDS])):
-    """One query with its five textual representations."""
+    """One query with its five textual representations, every field a str."""
 
     __slots__ = ()
 
     def __new__(cls, id: str, information_need: str, background: str, work_task: str,
                 ideal_answer: str, keywords: str) -> Topic:
+        fields = (id, information_need, background, work_task, ideal_answer, keywords)
+        for name, value in zip(cls._fields, fields):
+            if not isinstance(value, str):
+                raise TypeError(f"topic field {name} must be a str, got {type(value).__name__}")
         if id.split() != [id]:
             raise ValueError(f"topic id {id!r} must be one token without whitespace")
         if not keywords.strip():
             raise ValueError(f"topic {id!r}: keywords must be nonempty")
-        return tuple.__new__(cls, (id, information_need, background, work_task, ideal_answer,
-                                   keywords))
+        return tuple.__new__(cls, fields)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
@@ -183,10 +186,11 @@ def run_matrix(
     Results come in matrix order: levels as given, consensus pairs then
     recommendation pairs.  Each topic's five texts are tokenized once for
     all levels, each level built from the one below, and dropped before the
-    next topic.  Per level, the cells fall into evidence groups: a consensus
-    cell alone, or a pair's AB and BA cells.  Per topic a group gets one
-    evidence and one opinion pair, and it keeps one pooled sum; each
-    distinct evidence count becomes an opinion once per call.  ``positive_rule``
+    next topic; each distinct level-III word is stemmed once per call.  Per
+    level, the cells fall into evidence groups: a consensus cell alone, or a
+    pair's AB and BA cells.  Per topic a group gets one evidence and one
+    opinion pair, and it keeps one pooled sum; each distinct evidence count
+    becomes an opinion once per call.  ``positive_rule``
     and ``mode`` are enum members or their values; anything else raises ValueError,
     as do no ``levels`` and a level given twice.
     """
@@ -209,8 +213,9 @@ def run_matrix(
         for level in levels
     ]
     opinion = cache(lambda counts: from_evidence(counts, alpha))
+    stems = Stems()
     for topic in topics:
-        by_text = {name: term_sets(getattr(topic, name), levels) for name in TOPIC_TEXTS}
+        by_text = {name: term_sets(getattr(topic, name), levels, stems) for name in TOPIC_TEXTS}
         for level, groups in zip(levels, table):
             sets = {name: level_sets[level] for name, level_sets in by_text.items()}
             for cells, sums in groups:

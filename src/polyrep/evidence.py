@@ -38,6 +38,13 @@ class EvidencePair(NamedTuple):
     for_b: EvidenceCounts
 
 
+def _outside(a: AbstractSet[str], b: AbstractSet[str], q: AbstractSet[str]) -> int:
+    """|A - (B | Q)|, the size of A's negative region."""
+    if isinstance(a, (set, frozenset)):
+        return len(a.difference(b, q))  # builds no union
+    return len(a - (b | q))
+
+
 def consensus_evidence(
     a: AbstractSet[str],
     b: AbstractSet[str],
@@ -48,8 +55,8 @@ def consensus_evidence(
 
     ``rule`` is a :class:`PositiveRule` or its value.
     """
-    negative_a, negative_b = len(a - (b | q)), len(b - (a | q))
-    if PositiveRule(rule) is PositiveRule.UNION:
+    negative_a, negative_b = _outside(a, b, q), _outside(b, a, q)
+    if (rule if isinstance(rule, PositiveRule) else PositiveRule(rule)) is PositiveRule.UNION:
         # (A & B) | (A & Q) is A & (B | Q), the complement of A's negative region
         positive_a, positive_b = len(a) - negative_a, len(b) - negative_b
     else:
@@ -72,6 +79,6 @@ def recommendation_evidence(
     """
     shared = len(a & b)
     return EvidencePair(
-        for_a=EvidenceCounts(shared, len(a - (b | q))),
-        for_b=EvidenceCounts(shared, len(b - (a | q))),
+        for_a=EvidenceCounts(shared, _outside(a, b, q)),
+        for_b=EvidenceCounts(shared, _outside(b, a, q)),
     )

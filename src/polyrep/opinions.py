@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 #: Numeric tolerance for validating additivity and component bounds.
 TOLERANCE = 1e-9
+_UPPER = 1.0 + TOLERANCE
 
 
 class DogmaticConflictError(ValueError):
@@ -35,23 +36,30 @@ class DogmaticConflictError(ValueError):
 
 class Opinion(NamedTuple("Opinion", [("belief", float), ("disbelief", float),
                                       ("uncertainty", float), ("base_rate", float)])):
-    """A validated (belief, disbelief, uncertainty, base_rate) quadruple."""
+    """A validated (belief, disbelief, uncertainty, base_rate) quadruple; no field is a bool."""
 
     __slots__ = ()
 
     def __new__(cls, belief: float, disbelief: float, uncertainty: float,
                 base_rate: float) -> Opinion:
         fields = (belief, disbelief, uncertainty, base_rate)
-        for name, value in zip(cls._fields, fields):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if not -TOLERANCE <= value <= 1.0 + TOLERANCE:
-                raise ValueError(f"{name} outside [0, 1]: {value!r}")
-        total = belief + disbelief + uncertainty
-        if abs(total - 1.0) > TOLERANCE:
-            raise ValueError(
-                f"belief + disbelief + uncertainty must equal 1, got {total!r}"
-            )
+        # Plain floats in range take one comparison each; anything else is checked field by field.
+        if not (float is type(belief) is type(disbelief) is type(uncertainty) is type(base_rate)
+                and -TOLERANCE <= belief <= _UPPER and -TOLERANCE <= disbelief <= _UPPER
+                and -TOLERANCE <= uncertainty <= _UPPER and -TOLERANCE <= base_rate <= _UPPER
+                and abs(belief + disbelief + uncertainty - 1.0) <= TOLERANCE):
+            for name, value in zip(cls._fields, fields):
+                if type(value) is bool:
+                    raise TypeError(f"{name} must be a real number, got bool")
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
+                if not -TOLERANCE <= value <= _UPPER:
+                    raise ValueError(f"{name} outside [0, 1]: {value!r}")
+            total = belief + disbelief + uncertainty
+            if abs(total - 1.0) > TOLERANCE:
+                raise ValueError(
+                    f"belief + disbelief + uncertainty must equal 1, got {total!r}"
+                )
         return tuple.__new__(cls, fields)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
@@ -64,11 +72,13 @@ class EvidenceCounts(NamedTuple("EvidenceCounts", [("positive", int), ("negative
 
     def __new__(cls, positive: int, negative: int) -> EvidenceCounts:
         fields = (positive, negative)
-        for name, value in zip(cls._fields, fields):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+        if not (type(positive) is int and positive >= 0 and type(negative) is int
+                and negative >= 0):
+            for name, value in zip(cls._fields, fields):
+                if type(value) is not int:
+                    raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+                if value < 0:
+                    raise ValueError(f"{name} must be nonnegative, got {value}")
         return tuple.__new__(cls, fields)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too

@@ -9,7 +9,9 @@ IV Porter-stems the survivors.  Every level returns a deduplicated term
 set; term frequency and order are discarded deliberately.  Levels III and
 IV are built from the set one level down (:func:`term_sets` builds a
 text's levels in that cascade), so a text is split once however many
-levels are asked for.
+levels are asked for.  A caller that builds the sets of many texts passes
+one :class:`Stems` memo down the cascade, so each distinct word is
+stemmed once for as long as the caller keeps the memo.
 
 :func:`reading` opens every input file the package reads: topics, runs,
 judgments and config files alike.
@@ -70,7 +72,19 @@ def _alnum_tokens(text: str) -> list[str]:
     return text.translate(_SEPARATORS).split()
 
 
-def _step(text: str, level: PrepLevel, below: TermSet | None) -> TermSet:
+class Stems(dict):
+    """A memo from level-III word to its Porter stem: a word is stemmed on its first lookup.
+
+    It is unbounded, so its owner keeps it for one command's texts and then drops it.
+    """
+
+    def __missing__(self, word: str) -> str:
+        stem = self[word] = porter_stem(word)
+        return stem
+
+
+def _step(text: str, level: PrepLevel, below: TermSet | None,
+          stems: Stems | None = None) -> TermSet:
     # Levels I and II read the text; III and IV read the set one level down.
     if level is PrepLevel.RAW:
         return frozenset(text.split())
@@ -78,19 +92,21 @@ def _step(text: str, level: PrepLevel, below: TermSet | None) -> TermSet:
         return frozenset(_alnum_tokens(text.lower()))
     if level is PrepLevel.STOP:
         return below - _STOPWORDS
-    return frozenset(porter_stem(term) for term in below)
+    return frozenset(map(porter_stem if stems is None else stems.__getitem__, below))
 
 
 _CASCADE = (PrepLevel.CASE_PUNCT, PrepLevel.STOP, PrepLevel.STEM)
 
 
-def tokenize(text: str, level: PrepLevel, below: TermSet | None = None) -> TermSet:
+def tokenize(text: str, level: PrepLevel, below: TermSet | None = None,
+             stems: Stems | None = None) -> TermSet:
     """Produce the deduplicated term set of ``text`` at a preprocessing level.
 
     ``below``, if given, is the term set of the same ``text`` one level
     down; level III is then ``below`` minus the stopwords and level IV the
     stems of ``below``, so the text is not split again.  Levels I and II
-    read the text and take no ``below``.
+    read the text and take no ``below``.  Level IV looks its words up in
+    ``stems`` if given; the other levels do not use it.
     """
     if level in (PrepLevel.RAW, PrepLevel.CASE_PUNCT):
         if below is not None:
@@ -98,20 +114,22 @@ def tokenize(text: str, level: PrepLevel, below: TermSet | None = None) -> TermS
     elif below is None:
         for step in _CASCADE[: _CASCADE.index(level)]:
             below = _step(text, step, below)
-    return _step(text, level, below)
+    return _step(text, level, below, stems)
 
 
-def term_sets(text: str, levels: Collection[PrepLevel]) -> dict[PrepLevel, TermSet]:
+def term_sets(text: str, levels: Collection[PrepLevel],
+              stems: Stems | None = None) -> dict[PrepLevel, TermSet]:
     """The term sets of ``text`` at each of ``levels``, each built from the level below.
 
     Levels II up to the highest one asked for are built once each, on the
     way; level I only when asked for, and nothing above the highest.
+    Level IV looks its words up in ``stems`` if given.
     """
     sets = {PrepLevel.RAW: tokenize(text, PrepLevel.RAW)} if PrepLevel.RAW in levels else {}
     top = max((_CASCADE.index(level) + 1 for level in levels if level in _CASCADE), default=0)
     below = None
     for level in _CASCADE[:top]:
-        below = sets[level] = tokenize(text, level, below)
+        below = sets[level] = tokenize(text, level, below, stems)
     return sets
 
 

@@ -5,8 +5,9 @@ name.  A probed function that is renamed or removed is reported as absent,
 and a span its callers must enter but never do as unreached; either one
 leaves a per-layer metric without a value, although the command still exits
 0.  These tests trace the fixture through both matrix commands and require
-neither list to hold anything.  They guard that surface until the package
-emits its own stage spans and the tracer only reads them (ROADMAP item 2).
+neither list to hold anything, and the stem and tokenize counts to follow
+the dataflow.  They guard that surface until the package emits its own
+stage spans and the tracer only reads them (ROADMAP item 2).
 """
 
 import json
@@ -41,3 +42,7 @@ def test_traced_command_leaves_no_probe_absent_or_unreached(command, tmp_path):
     trace = json.loads(report.read_text(encoding="utf-8"))
     assert trace["absent"] == []
     assert trace["unreached"] == []
+    # Each distinct word is stemmed once, and the five texts of each of the
+    # three topics are tokenized once per level, through the probed tokenize.
+    assert trace["distinct"]["porter.stem"] == trace["spans"]["porter.stem"]["calls"]
+    assert trace["spans"]["textprep.tokenize"]["calls"] == 5 * 3 * 4

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyrep import combine, textprep
+from polyrep.cli import main
 from polyrep.combine import (
+    TOPIC_TEXTS,
     AggregationMode,
     CombinationOrder,
     CombinationResult,
@@ -29,6 +31,7 @@ from polyrep.combine import (
 )
 from polyrep.evidence import PositiveRule, consensus_evidence, recommendation_evidence
 from polyrep.opinions import EvidenceCounts, consensus, expectation, from_evidence, recommendation
+from polyrep.porter import porter_stem
 from polyrep.textprep import PrepLevel, tokenize
 
 TOL = 1e-9
@@ -169,6 +172,15 @@ class TestSpecValidation:
             make_topic(id=" ")
         with pytest.raises(ValueError):
             make_topic(keywords="")
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", 1), ("information_need", None), ("background", 2.5), ("work_task", b"x"),
+        ("ideal_answer", ["y"]), ("keywords", 0),
+    ])
+    def test_topic_fields_must_be_strings(self, field, value):
+        kind = type(value).__name__
+        with pytest.raises(TypeError, match=f"^topic field {field} must be a str, got {kind}$"):
+            make_topic(**{field: value})
 
 
 class TestRunMatrix:
@@ -398,6 +410,21 @@ class TestRunMatrixWork:
         opinion = results[0].per_topic[0][1]
         assert not hasattr(opinion, "__dict__")
         assert not hasattr(EvidenceCounts(1, 2), "__dict__")
+
+    def test_each_distinct_word_is_stemmed_once_per_call(self, fixture_topics, monkeypatch,
+                                                         capsys):
+        words = sorted(set().union(*(tokenize(getattr(topic, name), PrepLevel.STOP)
+                                     for topic in fixture_topics for name in TOPIC_TEXTS)))
+        stemmed = []
+        monkeypatch.setattr(textprep, "porter_stem",
+                            lambda word: stemmed.append(word) or porter_stem(word))
+        for _ in range(2):  # the second call stems them all again: no memo outlives a call
+            run_matrix(fixture_topics, ALL_LEVELS)
+            assert sorted(stemmed) == words
+            stemmed.clear()
+        assert main(["prep", "--topics", str(DATA / "topics.jsonl")]) == 0
+        assert sorted(stemmed) == words
+        assert capsys.readouterr().out == (DATA / "termsets_golden.tsv").read_text()
 
 
 class TestRanking:

@@ -1,5 +1,8 @@
 """Evidence extraction from term-set overlap regions."""
 
+from collections.abc import Set
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -121,3 +124,35 @@ class TestRecommendationEvidence:
         con = consensus_evidence(a, b, q)
         assert rec.for_a.negative == con.for_a.negative
         assert rec.for_b.negative == con.for_b.negative
+
+
+class _Terms(Set):
+    """An AbstractSet that is neither a set nor a frozenset."""
+
+    def __init__(self, terms=()):
+        self._terms = frozenset(terms)
+
+    def __contains__(self, term):
+        return term in self._terms
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self):
+        return len(self._terms)
+
+
+_SET_KINDS = (frozenset, set, lambda terms: dict.fromkeys(terms).keys(), _Terms)
+
+
+@given(term_sets, term_sets, term_sets)
+def test_every_kind_of_abstract_set_gives_the_same_regions(a, b, q):
+    for kinds in product(_SET_KINDS, repeat=3):
+        sets = [kind(terms) for kind, terms in zip(kinds, (a, b, q))]
+        for rule in PositiveRule:
+            pair = consensus_evidence(*sets, rule)
+            assert pair == consensus_evidence(a, b, q, rule)
+        pair = recommendation_evidence(*sets)
+        assert pair.for_a.negative == len(a - (b | q))
+        assert pair.for_b.negative == len(b - (a | q))
+        assert pair.for_a.positive == len(a & b)

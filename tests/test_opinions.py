@@ -1,9 +1,13 @@
 """Opinion construction, evidence mapping, expectation and fusion operators."""
 
+import math
+from contextlib import contextmanager
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyrep import opinions as opinions_module
 from polyrep.opinions import (
     DogmaticConflictError,
     EvidenceCounts,
@@ -74,12 +78,127 @@ class TestOpinionValidation:
         with pytest.raises(ValueError):
             Opinion(bad, 0.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("field", range(4))
+    def test_bool_field_rejected_naming_it(self, field):
+        values = [0.0, 0.0, 1.0, 0.5]
+        values[field] = bool(values[field])
+        with pytest.raises(TypeError, match=f"^{Opinion._fields[field]} must be a real number, "
+                                            "got bool$"):
+            Opinion(*values)
+
     def test_tolerated_rounding_noise(self):
         Opinion(0.1 + 0.2, 0.7 - 1e-12, 0.0, 0.5)  # sum within 1e-9 of one
 
     @given(opinions())
     def test_generated_opinions_are_valid(self, opinion):
         assert abs(opinion.belief + opinion.disbelief + opinion.uncertainty - 1.0) <= TOL
+
+
+def _reference_opinion(*values):
+    """The per-field checks Opinion made before its fast path, plus the bool rule."""
+    for name, value in zip(Opinion._fields, values):
+        if type(value) is bool:
+            raise TypeError(f"{name} must be a real number, got bool")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if not -TOL <= value <= 1.0 + TOL:
+            raise ValueError(f"{name} outside [0, 1]: {value!r}")
+    total = values[0] + values[1] + values[2]
+    if abs(total - 1.0) > TOL:
+        raise ValueError(f"belief + disbelief + uncertainty must equal 1, got {total!r}")
+    return values
+
+
+def _reference_counts(*values):
+    """The per-field checks EvidenceCounts made before its fast path."""
+    for name, value in zip(EvidenceCounts._fields, values):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    return values
+
+
+def _outcome(build, values):
+    try:
+        return "accepted", build(*values)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(outcome, expected, values):
+    assert outcome[0] == expected[0]
+    if expected[0] == "accepted":
+        assert all(kept is value for kept, value in zip(outcome[1], values))
+    else:
+        assert outcome[1] == expected[1]
+
+
+@contextmanager
+def _counting_field_loops():
+    """Count the per-field loops the record constructors run, through their zip calls."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(opinions_module, "zip", lambda *args: calls.append(args) or zip(*args),
+                      raising=False)
+        yield calls
+
+
+_IN_RANGE_EDGES = [-TOL, -0.0, 0.0, TOL, 1.0 - TOL, 1.0, 1.0 + TOL]
+_EDGES = [*_IN_RANGE_EDGES, math.nextafter(-TOL, -math.inf),
+          math.nextafter(1.0 + TOL, math.inf), math.nan, math.inf, -math.inf]
+_masses = st.one_of(st.sampled_from(_EDGES), st.floats(), st.integers(-2, 2), st.booleans(),
+                    st.text(max_size=2), st.none())
+_edge_or_unit = st.one_of(st.sampled_from(_IN_RANGE_EDGES), _unit)
+
+
+@st.composite
+def _near_additive(draw):
+    """(b, d, u): two masses drawn, the third putting the sum within ulps of 1 or 1 +- TOL."""
+    masses = [draw(_edge_or_unit), draw(_edge_or_unit)]
+    rest = draw(st.sampled_from([1.0, 1.0 + TOL, 1.0 - TOL])) - masses[0] - masses[1]
+    steps = draw(st.integers(-2, 2))
+    for _ in range(abs(steps)):
+        rest = math.nextafter(rest, math.copysign(math.inf, steps))
+    masses.insert(draw(st.integers(0, 2)), rest)
+    return masses
+
+
+_quadruples = st.one_of(
+    st.lists(_masses, min_size=4, max_size=4),
+    st.tuples(_near_additive(), st.one_of(_edge_or_unit, _masses)).map(
+        lambda drawn: [*drawn[0], drawn[1]]),
+)
+
+
+class TestValidatorOracle:
+    """The constructors against the checks they made before their fast paths."""
+
+    @settings(max_examples=600)
+    @given(_quadruples)
+    # every field at both ends of its tolerated range, in an additive quadruple
+    @example([-TOL, 0.0, 1.0 + TOL, 1.0 + TOL])
+    @example([1.0 + TOL, -TOL, 0.0, -TOL])
+    @example([0.0, 1.0 + TOL, -TOL, 0.5])
+    def test_opinion_agrees_with_the_reference(self, values):
+        with _counting_field_loops() as loops:
+            outcome = _outcome(Opinion, values)
+        expected = _outcome(_reference_opinion, values)
+        _assert_same_outcome(outcome, expected, values)
+        # In-range plain floats skip the per-field loop; every other input runs it.
+        plain = all(type(value) is float for value in values)
+        assert (not loops) == (plain and expected[0] == "accepted")
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.integers(-2, 2), st.integers(), st.booleans(), st.floats(),
+                              st.text(max_size=1), st.none()), min_size=2, max_size=2))
+    def test_evidence_counts_agree_with_the_reference(self, values):
+        with _counting_field_loops() as loops:
+            outcome = _outcome(EvidenceCounts, values)
+        expected = _outcome(_reference_counts, values)
+        _assert_same_outcome(outcome, expected, values)
+        plain = all(type(value) is int for value in values)
+        assert (not loops) == (plain and expected[0] == "accepted")
 
 
 class TestEvidenceCounts:
