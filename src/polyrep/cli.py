@@ -23,7 +23,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import IO, Callable
+from typing import IO, TYPE_CHECKING, Callable
 
 from .combine import (
     REPORT_HEADER,
@@ -36,21 +36,12 @@ from .combine import (
     write_report,
 )
 from .evidence import PositiveRule
-from .ireval import (
-    CORRELATION_COLUMNS,
-    EVALUATION_DEPTH,
-    MetricReport,
-    _decimal,
-    correlation_table,
-    evaluate_run,
-    parse_qrels,
-    parse_run,
-    write_metric_report,
-    write_plot_data,
-)
-from .textprep import PrepLevel, Stems, reading, term_sets
+from .textprep import PrepLevel, Stems, _decimal, reading, term_sets
 
-_SHOWN_IDS = 5  # query ids a diagnostic names before eliding the rest
+if TYPE_CHECKING:
+    from .ireval import MetricReport
+
+_SHOWN_IDS = 5  # ids or file names a diagnostic shows before eliding the rest
 
 
 class CliError(Exception):
@@ -208,7 +199,7 @@ def _result_record(result: CombinationResult) -> dict:
 
 
 def _warn(what: str, ids: list[str], count: int | None = None) -> None:
-    """One counted diagnostic on stderr naming the first query ids; silent when empty."""
+    """One counted diagnostic on stderr naming the first ids or names; silent when empty."""
     if ids:
         shown = ", ".join(ids[:_SHOWN_IDS]) + (", ..." if len(ids) > _SHOWN_IDS else "")
         print(f"polyrep: warning: {what}: {len(ids) if count is None else count} ({shown})",
@@ -217,6 +208,7 @@ def _warn(what: str, ids: list[str], count: int | None = None) -> None:
 
 def _evaluate(args: argparse.Namespace) -> MetricReport:
     """Score ``--run`` against ``--qrels``, counting on stderr what the scores leave out."""
+    from .ireval import EVALUATION_DEPTH, evaluate_run, parse_qrels, parse_run
     run, qrels = parse_run(args.run), parse_qrels(args.qrels)
     report = evaluate_run(run, qrels)
     _warn("run queries without judgments, not scored",
@@ -229,6 +221,7 @@ def _evaluate(args: argparse.Namespace) -> MetricReport:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .ireval import write_metric_report
     report = _evaluate(args)
     _write(args, "metrics", lambda: {
         "per_query": {qid: dict(report.per_query[qid]) for qid in sorted(report.per_query)},
@@ -244,9 +237,13 @@ def _plot_filename(key: tuple[str, ...]) -> str:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    from .ireval import CORRELATION_COLUMNS, correlation_table, write_plot_data
     results = _matrix(args)
     report = _evaluate(args)
     table = correlation_table(results, report)  # all of it before any file is written
+    names = [_plot_filename(key) for key, _, _, _ in table]
+    _warn("plot files in --out that this run does not write, kept",
+          sorted({path.name for path in Path(args.out).glob("plot_*.tsv")} - set(names)))
 
     def write_tsv(stream: IO[str]) -> None:
         stream.write("\t".join(CORRELATION_COLUMNS) + "\n")
@@ -256,10 +253,10 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     _write(args, "correlations", lambda: {
         "correlations": [dict(zip(CORRELATION_COLUMNS, (*key, rho))) for key, _, _, rho in table]
     }, write_tsv)
-    for key, xs, ys, _ in table:
+    for name, (_, xs, ys, _) in zip(names, table):
         buffer = io.StringIO()
         write_plot_data(xs, ys, buffer)
-        _emit(buffer.getvalue(), args.out, _plot_filename(key))
+        _emit(buffer.getvalue(), args.out, name)
     return 0
 
 

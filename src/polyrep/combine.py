@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import enum
 import json
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, groupby
+from operator import add
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -233,7 +234,8 @@ def run_matrix(
         for cells, (pos_a, neg_a, pos_b, neg_b) in groups:
             for spec, entries in cells:
                 if mode is AggregationMode.MACRO:
-                    aggregate = sum(entry[2] for entry in entries) / len(entries)
+                    # left to right: sum() adds floats with compensation since Python 3.12
+                    aggregate = reduce(add, (entry[2] for entry in entries), 0.0) / len(entries)
                 else:
                     aggregate = expectation(_fuse(opinion(EvidenceCounts(pos_a, neg_a)),
                                                   opinion(EvidenceCounts(pos_b, neg_b)), spec))

@@ -13,7 +13,9 @@ between the union and the intersection of the two overlap lenses; the
 union reading (which matches the shaded figures) is the default, and
 :class:`PositiveRule` exposes both.  Under the union reading a side's
 positive region is the rest of its representation, so r + s = |A| for A
-(and |B| for B).
+(and |B| for B).  Regions are counted from intersections alone, by
+inclusion-exclusion: |A - (B | Q)| = |A| - |A & B| - |A & Q| + |A & B & Q|,
+and the same for B, so no difference or union is ever built.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ class EvidencePair(NamedTuple):
     for_b: EvidenceCounts
 
 
-def _outside(a: AbstractSet[str], b: AbstractSet[str], q: AbstractSet[str]) -> int:
-    """|A - (B | Q)|, the size of A's negative region."""
-    if isinstance(a, (set, frozenset)):
-        return len(a.difference(b, q))  # builds no union
-    return len(a - (b | q))
+def _regions(a: AbstractSet[str], b: AbstractSet[str], q: AbstractSet[str]) -> tuple[int, ...]:
+    """|A & B|, |A & B & Q| and the negative regions |A - (B | Q)| and |B - (A | Q)|."""
+    shared = a & b
+    both, core = len(shared), len(shared & q)
+    return both, core, len(a) - both - len(a & q) + core, len(b) - both - len(b & q) + core
 
 
 def consensus_evidence(
@@ -55,12 +57,12 @@ def consensus_evidence(
 
     ``rule`` is a :class:`PositiveRule` or its value.
     """
-    negative_a, negative_b = _outside(a, b, q), _outside(b, a, q)
+    _, core, negative_a, negative_b = _regions(a, b, q)
     if (rule if isinstance(rule, PositiveRule) else PositiveRule(rule)) is PositiveRule.UNION:
         # (A & B) | (A & Q) is A & (B | Q), the complement of A's negative region
         positive_a, positive_b = len(a) - negative_a, len(b) - negative_b
     else:
-        positive_a = positive_b = len(a & b & q)
+        positive_a = positive_b = core
     return EvidencePair(
         for_a=EvidenceCounts(positive_a, negative_a),
         for_b=EvidenceCounts(positive_b, negative_b),
@@ -77,8 +79,8 @@ def recommendation_evidence(
     Both sides' positive evidence is the shared region |A and B|; negative
     evidence is the same per-side region as in the consensus combination.
     """
-    shared = len(a & b)
+    shared, _, negative_a, negative_b = _regions(a, b, q)
     return EvidencePair(
-        for_a=EvidenceCounts(shared, _outside(a, b, q)),
-        for_b=EvidenceCounts(shared, _outside(b, a, q)),
+        for_a=EvidenceCounts(shared, negative_a),
+        for_b=EvidenceCounts(shared, negative_b),
     )

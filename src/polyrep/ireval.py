@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import reduce
 from itertools import groupby
+from operator import add
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .combine import REPORT_HEADER, CombinationResult
-from .textprep import reading
+from .textprep import _decimal, reading
 
 #: Evaluation depth: only the strongest-scored documents per query count.
 EVALUATION_DEPTH = 1000
@@ -104,13 +106,6 @@ def _fields(
             yield number, fields
 
 
-def _decimal(text: str) -> float:
-    """``float(text)`` for plain ASCII only: ``float`` alone reads ``1_0`` as 10 and ``٣`` as 3."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not a plain ASCII decimal: {text!r}")
-    return float(text)
-
-
 def parse_run(source: str | Path | Iterable[str]) -> RunList:
     """Parse a run file; duplicate documents within a query are rejected."""
     scored: dict[str, dict[str, float]] = {}
@@ -156,16 +151,16 @@ def _grades(run: RunList, qrels: Qrels, qid: str) -> tuple[list[int | None], lis
     return ranked, sorted(judged.values(), reverse=True)
 
 
+def _dcg(grades: Iterable[int | None]) -> float:
+    """Discounted gain in rank order, added left to right: sum() compensates since Python 3.12."""
+    return reduce(add, (grade / math.log2(rank + 1)
+                        for rank, grade in enumerate(grades, start=1) if grade), 0.0)
+
+
 def _ndcg(ranked: list[int | None], ideal_gains: list[int], k: int) -> float:
     """DCG of the top k ranked grades over that of the top k ideal gains (0 if that is 0)."""
-    ideal = sum(gain / math.log2(i + 1) for i, gain in enumerate(ideal_gains[:k], start=1))
-    if ideal == 0.0:
-        return 0.0
-    actual = 0.0
-    for rank, gain in enumerate(ranked[:k], start=1):
-        if gain:
-            actual += gain / math.log2(rank + 1)
-    return actual / ideal
+    ideal = _dcg(ideal_gains[:k])
+    return _dcg(ranked[:k]) / ideal if ideal else 0.0
 
 
 def evaluate_query(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:
@@ -243,7 +238,7 @@ def evaluate_run(run: RunList, qrels: Qrels) -> MetricReport:
         raise NoOverlapError("run and judgments share no query id")
     per_query = {qid: evaluate_query(run, qrels, qid) for qid in judged}
     means = {
-        metric: sum(per_query[qid][metric] for qid in judged) / len(judged)
+        metric: reduce(add, (per_query[qid][metric] for qid in judged), 0.0) / len(judged)
         for metric in METRICS
     }
     return MetricReport(per_query, means)

@@ -13,8 +13,8 @@ levels are asked for.  A caller that builds the sets of many texts passes
 one :class:`Stems` memo down the cascade, so each distinct word is
 stemmed once for as long as the caller keeps the memo.
 
-:func:`reading` opens every input file the package reads: topics, runs,
-judgments and config files alike.
+:func:`reading` opens every input file the package reads (topics, runs,
+judgments and config files), and ``_decimal`` reads run scores and ``--alpha``.
 """
 
 from __future__ import annotations
@@ -158,3 +158,10 @@ def reading(
             line = len(re.findall(r"\r\n?|\n", text[: bad.start()])) + 1
             raise error(f"{source}: line {line}: byte 0x{ord(bad.group()) - 0xDC00:02x} "
                         "is not valid UTF-8") from None
+
+
+def _decimal(text: str) -> float:
+    """``float(text)`` for plain ASCII only: ``float`` alone reads ``1_0`` as 10 and ``٣`` as 3."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII decimal: {text!r}")
+    return float(text)

@@ -490,6 +490,50 @@ class TestCorrelate:
         assert len(list((tmp_path / "out").iterdir())) == 1 + 72 * 2 * 6
 
 
+class TestStalePlotFiles:
+    """``correlate`` counts the plot files in ``--out`` it does not write, and keeps them."""
+
+    @staticmethod
+    def correlate(out, *flags):
+        return main(["correlate", "--topics", str(DATA / "topics.jsonl"),
+                     "--run", str(DATA / "run.txt"), "--qrels", str(DATA / "qrels.txt"),
+                     "--out", str(out), *flags])
+
+    def test_a_narrower_rerun_warns_and_keeps_them(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self.correlate(out) == 0
+        assert capsys.readouterr().err == ""
+        before = {path.name: path.read_bytes() for path in out.glob("plot_III_*")}
+        assert self.correlate(out, "--operator", "consensus", "--prep", "I") == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "polyrep: warning: plot files in --out that this run does not write, kept: 792 ("
+            + ", ".join(f"plot_III_consensus_background_ideal_answer_belief_{metric}.tsv"
+                        for metric in ("bpref", "map", "mrr", "ndcg", "ndcg10"))
+            + ", ...)"
+        ]
+        assert len(list(out.iterdir())) == 1 + 72 * 2 * 6  # 72 rewritten, 792 kept
+        assert {path.name: path.read_bytes() for path in out.glob("plot_III_*")} == before
+
+    def test_rerunning_every_command_into_one_directory_is_silent(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        topics, run, qrels = (str(DATA / name) for name in ("topics.jsonl", "run.txt",
+                                                             "qrels.txt"))
+        for _ in range(2):
+            assert main(["prep", "--topics", topics, "--out", out]) == 0
+            assert main(["polyrep", "--topics", topics, "--out", out]) == 0
+            assert main(["evaluate", "--run", run, "--qrels", qrels, "--out", out]) == 0
+            assert self.correlate(out) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_other_files_are_not_counted(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.tsv").write_text("kept\n")
+        (out / "plot_notes.txt").write_text("kept\n")
+        assert self.correlate(out, "--prep", "I") == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestUnjudgedRunQueries:
     @pytest.fixture
     def run_with_probe(self, tmp_path):

@@ -4,7 +4,7 @@ from collections.abc import Set
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polyrep.evidence import (
@@ -145,14 +145,31 @@ class _Terms(Set):
 _SET_KINDS = (frozenset, set, lambda terms: dict.fromkeys(terms).keys(), _Terms)
 
 
+def _set_definitions(a, b, q):
+    """Both functions' (positive, negative) pairs, read off the regions as sets."""
+    negative_a, negative_b = len(a - (b | q)), len(b - (a | q))
+    return {
+        PositiveRule.UNION: ((len((a & b) | (a & q)), negative_a),
+                             (len((a & b) | (b & q)), negative_b)),
+        PositiveRule.INTERSECTION: ((len(a & b & q), negative_a), (len(a & b & q), negative_b)),
+        "recommendation": ((len(a & b), negative_a), (len(a & b), negative_b)),
+    }
+
+
+_EMPTY = frozenset()
+
+
 @given(term_sets, term_sets, term_sets)
+@example(_EMPTY, _EMPTY, _EMPTY)
+@example(_EMPTY, B, Q)
+@example(A, _EMPTY, Q)
+@example(A, B, _EMPTY)
 def test_every_kind_of_abstract_set_gives_the_same_regions(a, b, q):
-    for kinds in product(_SET_KINDS, repeat=3):
-        sets = [kind(terms) for kind, terms in zip(kinds, (a, b, q))]
-        for rule in PositiveRule:
-            pair = consensus_evidence(*sets, rule)
-            assert pair == consensus_evidence(a, b, q, rule)
-        pair = recommendation_evidence(*sets)
-        assert pair.for_a.negative == len(a - (b | q))
-        assert pair.for_b.negative == len(b - (a | q))
-        assert pair.for_a.positive == len(a & b)
+    """Both functions equal the set definitions, in both argument orders and every set kind."""
+    for x, y in ((a, b), (b, a)):
+        expected = _set_definitions(x, y, q)
+        for kinds in product(_SET_KINDS, repeat=3):
+            sets = [kind(terms) for kind, terms in zip(kinds, (x, y, q))]
+            for rule in PositiveRule:
+                assert consensus_evidence(*sets, rule) == expected[rule]
+            assert recommendation_evidence(*sets) == expected["recommendation"]

@@ -53,6 +53,11 @@ def _stdout_of(argv: list[str]) -> bytes:
 
 def _correlate_digests(out_dir: Path) -> dict[str, object]:
     assert main(CORRELATE + ["--out", str(out_dir)]) == 0
+    return _correlate_dir_digests(out_dir)
+
+
+def _correlate_dir_digests(out_dir: Path) -> dict[str, object]:
+    """The digests of the TSV files one ``correlate`` run wrote into ``out_dir``."""
     plots = sorted(out_dir.glob("plot_*.tsv"))
     combined = hashlib.sha256()
     for plot in plots:

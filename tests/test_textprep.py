@@ -1,5 +1,6 @@
 """Tokenization levels, stopword membership and the bundled stoplist file."""
 
+import unicodedata
 from importlib import resources
 
 import pytest
@@ -221,3 +222,13 @@ class TestCasePunctOracle:
         assert tokenize(text, PrepLevel.CASE_PUNCT) == _alnum_runs(text)
         # the table answers code points past ASCII without storing them
         assert len(textprep._SEPARATORS) == 128
+
+
+def test_level_ii_follows_the_interpreters_unicode_version():
+    # U+0870 ARABIC LETTER ALEF WITH ATTACHED FATHA is a letter from Unicode 14.0 on
+    text = "sea\u0870shell"
+    if tuple(map(int, unicodedata.unidata_version.split("."))) >= (14, 0):
+        expected = {"sea\u0870shell"}
+    else:
+        expected = {"sea", "shell"}
+    assert tokenize(text, PrepLevel.CASE_PUNCT) == expected
