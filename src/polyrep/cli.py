@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable
@@ -120,7 +121,8 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
         return
-    (Path(out_dir) / filename).write_text(text, encoding="utf-8")
+    with open(os.path.join(out_dir, filename), "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _write(args: argparse.Namespace, stem: str, payload: Callable[[], object],
@@ -128,10 +130,15 @@ def _write(args: argparse.Namespace, stem: str, payload: Callable[[], object],
     """Emit one report in the ``--format`` asked for, building only that format.
 
     Every command calls this once, after all its computation, so the output
-    directory is made here and a failed command leaves none behind.
+    directory is made here and a failed command leaves none behind.  A report
+    of the same stem in the other format, left by an earlier run, is counted
+    on stderr and kept.
     """
     if args.out is not None:
         Path(args.out).mkdir(parents=True, exist_ok=True)
+        other = stem + (".tsv" if args.format == "obj" else ".json")
+        if os.path.exists(os.path.join(args.out, other)):
+            _warn("report in --out in the other --format, kept", [other])
     if args.format == "obj":
         _emit(json.dumps(payload(), indent=2, sort_keys=True) + "\n", args.out, stem + ".json")
     else:
@@ -237,7 +244,7 @@ def _plot_filename(key: tuple[str, ...]) -> str:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    from .ireval import CORRELATION_COLUMNS, correlation_table, write_plot_data
+    from .ireval import CORRELATION_COLUMNS, correlation_table, plot_column, write_plot_data
     results = _matrix(args)
     report = _evaluate(args)
     table = correlation_table(results, report)  # all of it before any file is written
@@ -253,9 +260,16 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     _write(args, "correlations", lambda: {
         "correlations": [dict(zip(CORRELATION_COLUMNS, (*key, rho))) for key, _, _, rho in table]
     }, write_tsv)
-    for name, (_, xs, ys, _) in zip(names, table):
+    # each vector is formatted once, after the report, so its text does not add to the peak
+    x_columns = {}  # by metric
+    y_vector = y_column = None  # the cells of one (label, component) are consecutive
+    for name, (key, xs, ys, _) in zip(names, table):
+        if key[-1] not in x_columns:
+            x_columns[key[-1]] = plot_column(xs)
+        if key[:-1] != y_vector:
+            y_vector, y_column = key[:-1], plot_column(ys)
         buffer = io.StringIO()
-        write_plot_data(xs, ys, buffer)
+        write_plot_data(x_columns[key[-1]], y_column, buffer)
         _emit(buffer.getvalue(), args.out, name)
     return 0
 

@@ -16,6 +16,11 @@ components to per-query effectiveness; :func:`correlation_table` ranks
 each vector once for every cell.  Ranks are tie-averaged; averaged ranks
 are exact half-integers, so the correlation is evaluated in integer
 arithmetic and perfectly concordant and discordant inputs give exactly +/-1.0.
+Doubled ranks always sum to n(n+1), so each rank vector's variance term is
+computed once, and each cell needs one integer dot product.  A NaN or
+infinite value is rejected, naming its vector.  A plot file's two columns
+are each formatted once per vector by :func:`plot_column`, and
+:func:`write_plot_data` joins them into the file's text.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import enum
 import math
 from functools import reduce
 from itertools import groupby
-from operator import add
+from operator import add, attrgetter, mul
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -258,18 +263,29 @@ def _average_ranks_doubled(values: Sequence[float]) -> list[int]:
     return doubled
 
 
-def _rank_correlation(rx: Sequence[int], ry: Sequence[int]) -> float:
-    """Pearson correlation of two doubled-rank vectors, exact up to the final quotient."""
+def _ranked(values: Sequence[float], name: str) -> tuple[list[int], int]:
+    """Doubled ranks of ``values`` and their variance term, n * sum(r * r) - (n * (n + 1)) ** 2.
+
+    Doubled tie-averaged ranks always sum to n(n+1), so this term is all a
+    correlation needs of one vector besides its ranks.  A NaN or infinite
+    value raises ValueError naming ``name``: sorting with NaN is ill-defined.
+    """
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} holds a non-finite value")
+    ranks = _average_ranks_doubled(values)
+    n = len(ranks)
+    return ranks, n * sum(map(mul, ranks, ranks)) - (n * (n + 1)) ** 2
+
+
+def _rank_correlation(x: tuple[list[int], int], y: tuple[list[int], int]) -> float:
+    """Pearson correlation of two :func:`_ranked` vectors, exact up to the final quotient."""
+    (rx, variance_x), (ry, variance_y) = x, y
     n = len(rx)
     if n < 2:
         raise ValueError("need at least two observations")
-    sum_x = sum(rx)
-    sum_y = sum(ry)
-    covariance = n * sum(a * b for a, b in zip(rx, ry)) - sum_x * sum_y
-    variance_x = n * sum(a * a for a in rx) - sum_x * sum_x
-    variance_y = n * sum(b * b for b in ry) - sum_y * sum_y
     if variance_x == 0 or variance_y == 0:
         raise ZeroVarianceError("rank correlation undefined for a constant vector")
+    covariance = n * sum(map(mul, rx, ry)) - (n * (n + 1)) ** 2
     if covariance * covariance == variance_x * variance_y:
         return 1.0 if covariance > 0 else -1.0
     return covariance / math.sqrt(float(variance_x) * float(variance_y))
@@ -282,10 +298,12 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    for name, values in (("xs", xs), ("ys", ys)):
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{name} holds a non-finite value")
-    return _rank_correlation(_average_ranks_doubled(xs), _average_ranks_doubled(ys))
+    return _rank_correlation(_ranked(xs, "xs"), _ranked(ys, "ys"))
+
+
+def _cell(key: tuple[str, ...]) -> str:
+    """The leading :data:`CORRELATION_COLUMNS` named by ``key``, as ``name=value`` pairs."""
+    return " ".join(map("=".join, zip(CORRELATION_COLUMNS, key)))
 
 
 def correlation_table(
@@ -300,8 +318,10 @@ def correlation_table(
     measure) and ``ys`` (the component) are in topic-id order, each built and
     ranked once and shared by the cells that read it; ``rho`` is :func:`spearman`
     of the two.  A constant rank vector raises :class:`ZeroVarianceError`
-    naming the first such cell, and a metric outside :data:`METRICS` a ValueError.
-    Components are :class:`Component` members or their values; anything else is a ValueError.
+    naming the first such cell, a NaN or infinite value a ValueError naming
+    its metric or its (label, component), and a metric outside :data:`METRICS`
+    a ValueError.  Components are :class:`Component` members or their values;
+    anything else is a ValueError.
     """
     components = [Component(component) for component in components]
     for metric in metrics:
@@ -310,7 +330,8 @@ def correlation_table(
     report_ids = report.per_query.keys()
     ordered = sorted(report_ids)
     xs = {metric: [report.per_query[tid][metric] for tid in ordered] for metric in metrics}
-    x_ranks = {metric: _average_ranks_doubled(xs[metric]) for metric in metrics}
+    x_ranked = {metric: _ranked(xs[metric], f"metric={metric}") for metric in metrics}
+    getters = [(component.value, attrgetter(component.value)) for component in components]
     table = []
     for result in results:
         opinions = {topic_id: opinion for topic_id, opinion, _ in result.per_topic}
@@ -319,17 +340,17 @@ def correlation_table(
                 f"topic ids disagree: no metrics for {sorted(opinions.keys() - report_ids)}, "
                 f"no combination for {sorted(report_ids - opinions.keys())}"
             )
-        label = result.spec.label
-        for component in components:
-            ys = [getattr(opinions[tid], component.value) for tid in ordered]
-            y_ranks = _average_ranks_doubled(ys)
+        in_order = [opinions[tid] for tid in ordered]
+        for component, getter in getters:
+            vector = result.spec.label + (component,)
+            ys = list(map(getter, in_order))
+            y_ranked = _ranked(ys, _cell(vector))
             for metric in metrics:
-                key = label + (component.value, metric)
+                key = vector + (metric,)
                 try:
-                    rho = _rank_correlation(x_ranks[metric], y_ranks)
+                    rho = _rank_correlation(x_ranked[metric], y_ranked)
                 except ZeroVarianceError as exc:
-                    cell = " ".join(map("=".join, zip(CORRELATION_COLUMNS, key)))
-                    raise ZeroVarianceError(f"{exc}: {cell}") from None
+                    raise ZeroVarianceError(f"{exc}: {_cell(key)}") from None
                 table.append((key, xs[metric], ys, rho))
     return table
 
@@ -357,7 +378,11 @@ def write_metric_report(report: MetricReport, stream: IO[str]) -> None:
         stream.write(f"all\t{metric}\t{report.means[metric]:.4f}\n")
 
 
-def write_plot_data(xs: Sequence[float], ys: Sequence[float], stream: IO[str]) -> None:
-    """Two-column ``x y`` rows: per-topic measure against opinion component."""
-    for x, y in zip(xs, ys):
-        stream.write(f"{x:.6f} {y:.6f}\n")
+def plot_column(values: Iterable[float]) -> list[str]:
+    """One plot-file column: each value with six decimals."""
+    return [f"{value:.6f}" for value in values]
+
+
+def write_plot_data(x_column: Sequence[str], y_column: Sequence[str], stream: IO[str]) -> None:
+    """Two-column ``x y`` rows from two :func:`plot_column` results: measure against component."""
+    stream.write("".join([f"{x} {y}\n" for x, y in zip(x_column, y_column)]))

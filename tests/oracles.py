@@ -103,3 +103,31 @@ def spearman_naive(xs: list[float], ys: list[float]) -> float:
     var_x = fsum((a - mean_x) ** 2 for a in rx)
     var_y = fsum((b - mean_y) ** 2 for b in ry)
     return cov / math.sqrt(var_x * var_y)
+
+
+def doubled_ranks_naive(values: list[float]) -> list[int]:
+    """Twice the tie-averaged 1-based ranks, counted: 2 * smaller + equal + 1."""
+    return [2 * sum(1 for other in values if other < value)
+            + sum(1 for other in values if other == value) + 1
+            for value in values]
+
+
+def rank_correlation_five_sums(xs: list[float], ys: list[float]) -> float | None:
+    """Spearman's rho by five integer sums over doubled ranks; None where a rank vector is constant.
+
+    This is the formula the package used before it reduced each rank vector
+    to its variance term once: the covariance and both variances each take
+    their own sums, and no sum is assumed to be n(n + 1).
+    """
+    rx, ry = doubled_ranks_naive(list(xs)), doubled_ranks_naive(list(ys))
+    n = len(rx)
+    sum_x = sum(rx)
+    sum_y = sum(ry)
+    covariance = n * sum(a * b for a, b in zip(rx, ry)) - sum_x * sum_y
+    variance_x = n * sum(a * a for a in rx) - sum_x * sum_x
+    variance_y = n * sum(b * b for b in ry) - sum_y * sum_y
+    if variance_x == 0 or variance_y == 0:
+        return None
+    if covariance * covariance == variance_x * variance_y:
+        return 1.0 if covariance > 0 else -1.0
+    return covariance / math.sqrt(float(variance_x) * float(variance_y))

@@ -46,3 +46,7 @@ def test_traced_command_leaves_no_probe_absent_or_unreached(command, tmp_path):
     # three topics are tokenized once per level, through the probed tokenize.
     assert trace["distinct"]["porter.stem"] == trace["spans"]["porter.stem"]["calls"]
     assert trace["spans"]["textprep.tokenize"]["calls"] == 5 * 3 * 4
+    if command[0] == "correlate":
+        # one plot file per cell, written through write_plot_data, plus the report
+        assert trace["spans"]["ireval.write_plot"]["calls"] == 72 * 2 * 6
+        assert trace["counts"]["cli.files_written"] == 72 * 2 * 6 + 1

@@ -489,6 +489,23 @@ class TestCorrelate:
         assert len(calls) == 6 + 72 * 2
         assert len(list((tmp_path / "out").iterdir())) == 1 + 72 * 2 * 6
 
+    def test_formats_each_plot_column_once(self, tmp_path, monkeypatch):
+        # one column per measure vector and per component vector, not two per plot file
+        calls = []
+        column = ireval.plot_column
+        monkeypatch.setattr(ireval, "plot_column",
+                            lambda values: calls.append(len(values)) or column(values))
+        assert main(
+            [
+                "correlate",
+                "--topics", str(DATA / "topics.jsonl"),
+                "--run", str(DATA / "run.txt"),
+                "--qrels", str(DATA / "qrels.txt"),
+                "--out", str(tmp_path / "out"),
+            ]
+        ) == 0
+        assert calls == [3] * (6 + 72 * 2)
+
 
 class TestStalePlotFiles:
     """``correlate`` counts the plot files in ``--out`` it does not write, and keeps them."""
@@ -532,6 +549,38 @@ class TestStalePlotFiles:
         (out / "plot_notes.txt").write_text("kept\n")
         assert self.correlate(out, "--prep", "I") == 0
         assert capsys.readouterr().err == ""
+
+
+class TestOtherFormatReport:
+    """A report left in ``--out`` in the other ``--format`` is counted on stderr and kept."""
+
+    COMMANDS = {
+        "prep": (["prep", "--topics", str(DATA / "topics.jsonl")], "termsets"),
+        "polyrep": (["polyrep", "--topics", str(DATA / "topics.jsonl")], "polyrep"),
+        "evaluate": (["evaluate", "--run", str(DATA / "run.txt"),
+                      "--qrels", str(DATA / "qrels.txt")], "metrics"),
+        "correlate": (["correlate", "--topics", str(DATA / "topics.jsonl"), "--prep", "I",
+                       "--run", str(DATA / "run.txt"), "--qrels", str(DATA / "qrels.txt")],
+                      "correlations"),
+    }
+
+    @pytest.mark.parametrize("first, then", [("obj", "tsv"), ("tsv", "obj")])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_warns_once_and_keeps_it(self, command, first, then, tmp_path, capsys):
+        argv, stem = self.COMMANDS[command]
+        out = tmp_path / "out"
+        extension = {"obj": ".json", "tsv": ".tsv"}
+        for _ in range(2):  # the same format again is silent
+            assert main([*argv, "--format", first, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        kept = (out / (stem + extension[first])).read_bytes()
+        assert main([*argv, "--format", then, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "polyrep: warning: report in --out in the other --format, kept: 1 ("
+            + stem + extension[first] + ")"
+        ]
+        assert (out / (stem + extension[first])).read_bytes() == kept
+        assert (out / (stem + extension[then])).exists()
 
 
 class TestUnjudgedRunQueries:

@@ -29,6 +29,7 @@ from polyrep.ireval import (
     RunParseError,
     TopicAlignmentError,
     ZeroVarianceError,
+    _average_ranks_doubled,
     average_precision,
     bpref,
     correlate_components,
@@ -38,6 +39,7 @@ from polyrep.ireval import (
     ndcg_at,
     parse_qrels,
     parse_run,
+    plot_column,
     spearman,
     write_metric_report,
     write_plot_data,
@@ -503,6 +505,43 @@ def report_with(values):
     return MetricReport(per_query, means)
 
 
+@st.composite
+def tied_vectors(draw):
+    """Two vectors of one length in 2..80, each from a pool of two to seven values."""
+    n = draw(st.integers(2, 80))
+    vectors = []
+    for _ in range(2):
+        pool = st.integers(0, draw(st.integers(1, 6))).map(lambda v: v / 8)
+        vectors.append(draw(st.lists(pool, min_size=n, max_size=n)))
+    return vectors
+
+
+class TestFiveSumOracle:
+    """One dot product per cell gives bit for bit the rho of the five-sum formula."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_vectors())
+    def test_spearman_and_table_equal_the_formula(self, vectors):
+        xs, ys = vectors
+        n = len(xs)
+        for values in vectors:
+            assert _average_ranks_doubled(values) == oracles.doubled_ranks_naive(values)
+            assert sum(_average_ranks_doubled(values)) == n * (n + 1)
+        ids = [f"t{i:02d}" for i in range(n)]  # topic-id order is index order
+        result = result_with_beliefs(list(zip(ids, ys)))
+        report = report_with(list(zip(ids, xs)))
+        expected = oracles.rank_correlation_five_sums(xs, ys)
+        if expected is None:
+            with pytest.raises(ZeroVarianceError):
+                spearman(xs, ys)
+            with pytest.raises(ZeroVarianceError):
+                correlation_table([result], report, (Component.BELIEF,))
+            return
+        assert spearman(xs, ys) == expected
+        table = correlation_table([result], report, (Component.BELIEF,))
+        assert [rho for _, _, _, rho in table] == [expected] * len(METRICS)
+
+
 class TestCorrelateComponents:
     def test_two_concordant_topics(self):
         result = result_with_beliefs([("t1", 0.2), ("t2", 0.6)])
@@ -618,7 +657,7 @@ class TestCorrelationTable:
         for (_, xs, ys, rho), (_, expected_rho, expected_text) in zip(table, expected):
             assert rho == expected_rho
             buffer = io.StringIO()
-            write_plot_data(xs, ys, buffer)
+            write_plot_data(plot_column(xs), plot_column(ys), buffer)
             assert buffer.getvalue() == expected_text
 
     def test_unknown_metric_named_as_by_correlate_components(self):
@@ -650,6 +689,34 @@ class TestCorrelationTable:
             per_query["extra"] = per_query[min(per_query)]
         with pytest.raises(TopicAlignmentError):
             correlation_table(results, MetricReport(per_query, report.means))
+
+    @settings(max_examples=200, deadline=None)
+    @given(table_inputs(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+    def test_non_finite_value_named(self, inputs, bad, data):
+        # a NaN measure used to correlate as 0.5, and infinity as 1.0
+        results, report = inputs
+        tid = data.draw(st.sampled_from(sorted(report.per_query)))
+        components = tuple(Component)
+        if data.draw(st.booleans(), label="spoil a measure"):
+            metric = data.draw(st.sampled_from(METRICS))
+            per_query = {**report.per_query, tid: {**report.per_query[tid], metric: bad}}
+            report = MetricReport(per_query, report.means)
+            name = f"metric={metric}"
+        else:
+            # Opinion rejects a non-finite mass, so this one is built past its check;
+            # its component is the first vector ranked after the measures
+            component = data.draw(st.sampled_from(components))
+            field = Opinion._fields.index(component.value)
+            spoiled = tuple(
+                (topic, tuple.__new__(Opinion, (*opinion[:field], bad, *opinion[field + 1:]))
+                 if topic == tid else opinion, value)
+                for topic, opinion, value in results[0].per_topic)
+            results = [results[0]._replace(per_topic=spoiled), *results[1:]]
+            components = (component,)
+            key = results[0].spec.label + (component.value,)
+            name = " ".join(f"{column}={value}" for column, value in zip(CORRELATION_COLUMNS, key))
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} holds a non-finite value$"):
+            correlation_table(results, report, components)
 
     @settings(max_examples=50, deadline=None)
     @given(table_inputs(min_topics=1, max_topics=1))
