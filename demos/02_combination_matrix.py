@@ -4,13 +4,14 @@
 Each topic holds a keyword query plus four context representations.  The
 matrix runner combines every pair of context representations at each
 preprocessing level and aggregates the per-topic expectations into one
-probability per cell; the best cell per column is starred, and the full
-ranking across all cells is printed at the end.
+probability per cell; the best cell per column is starred, and the five
+most probable cells overall are printed at the end, ties keeping matrix
+order.
 """
 
 import sys
 
-from polyrep.combine import Topic, rank_combinations, run_matrix, write_report
+from polyrep.combine import Topic, run_matrix, write_report
 from polyrep.textprep import PrepLevel
 
 topics = [
@@ -44,7 +45,7 @@ results = run_matrix(topics, [PrepLevel.CASE_PUNCT, PrepLevel.STEM])
 write_report(results, sys.stdout, mark_best=True)
 
 print("\nTop five combinations overall:")
-for res in rank_combinations(results)[:5]:
+for res in sorted(results, key=lambda res: res.aggregate_probability, reverse=True)[:5]:
     spec = res.spec
     print(
         f"  {res.aggregate_probability:.4f}  level {spec.level.value:>3}  "

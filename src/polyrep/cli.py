@@ -151,9 +151,8 @@ def _matrix(args: argparse.Namespace) -> list[CombinationResult]:
     topics = load_topics(args.topics)
     levels = _parse_levels(args.prep)
     alpha = _parse_alpha(args.alpha)
-    results = run_matrix(topics, levels, alpha=alpha,
-                         positive_rule=PositiveRule(args.positive_rule),
-                         mode=AggregationMode(args.agg))
+    results = run_matrix(topics, levels, alpha=alpha, positive_rule=args.positive_rule,
+                         mode=args.agg)
     return [res for res in results if args.operator in ("both", res.spec.operator.value)]
 
 
@@ -268,9 +267,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             x_columns[key[-1]] = plot_column(xs)
         if key[:-1] != y_vector:
             y_vector, y_column = key[:-1], plot_column(ys)
-        buffer = io.StringIO()
-        write_plot_data(x_columns[key[-1]], y_column, buffer)
-        _emit(buffer.getvalue(), args.out, name)
+        _emit(write_plot_data(x_columns[key[-1]], y_column), args.out, name)
     return 0
 
 
@@ -300,12 +297,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         sub.add_argument("--alpha", default="0.5",
                          help="prior base rate in [0, 1] (default 0.5)")
         sub.add_argument(
-            "--positive-rule", dest="positive_rule", choices=["union", "intersection"],
+            "--positive-rule", dest="positive_rule", choices=[rule.value for rule in PositiveRule],
             default="union", help="consensus positive-evidence reading (default union)",
         )
-        sub.add_argument("--agg", choices=["macro", "pooled"], default="macro",
-                         help="aggregation across topics (default macro)")
-        sub.add_argument("--operator", choices=["consensus", "recommendation", "both"],
+        sub.add_argument("--agg", choices=[mode.value for mode in AggregationMode],
+                         default="macro", help="aggregation across topics (default macro)")
+        sub.add_argument("--operator", choices=[op.value for op in FusionOperator] + ["both"],
                          default="both", help="restrict the matrix (default both)")
 
     def add_run_options(sub: argparse.ArgumentParser) -> None:

@@ -243,14 +243,6 @@ def run_matrix(
     return results
 
 
-def rank_combinations(results: Sequence[CombinationResult]) -> list[CombinationResult]:
-    """Order results by descending probability; ties resolve lexicographically."""
-    if not results:
-        raise ValueError("no combination results to rank")
-    # the label without its level: operator, rep_a, rep_b, order
-    return sorted(results, key=lambda res: (-res.aggregate_probability, *res.spec.label[1:]))
-
-
 def _fields_once(pairs: list[tuple[str, object]]) -> dict[str, object]:
     """A JSON object's fields by name; a name given twice is an error, not the last one."""
     record: dict[str, object] = {}
@@ -319,7 +311,11 @@ def write_report(
 
     With ``mark_best`` an extra column flags the maximum probability within
     each (level, operator, order) column, the plain-text equivalent of the
-    bold entries in the published table layout.
+    bold entries in the published table layout.  This star is the one rule
+    for the best cell: a cell is best when its probability equals its
+    column's maximum at full precision, not at four decimals, and every tied
+    cell is starred.  A caller that needs one cell takes the first starred
+    cell in matrix order, which is what ``max`` over the results returns.
     """
     header = REPORT_HEADER + (("best",) if mark_best else ())
     stream.write("\t".join(header) + "\n")

@@ -383,6 +383,6 @@ def plot_column(values: Iterable[float]) -> list[str]:
     return [f"{value:.6f}" for value in values]
 
 
-def write_plot_data(x_column: Sequence[str], y_column: Sequence[str], stream: IO[str]) -> None:
-    """Two-column ``x y`` rows from two :func:`plot_column` results: measure against component."""
-    stream.write("".join([f"{x} {y}\n" for x, y in zip(x_column, y_column)]))
+def write_plot_data(x_column: Sequence[str], y_column: Sequence[str]) -> str:
+    """A plot file's text: ``x y`` rows from two :func:`plot_column` results, measure first."""
+    return "".join([f"{x} {y}\n" for x, y in zip(x_column, y_column)])

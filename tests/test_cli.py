@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from polyrep import ireval
-from polyrep.cli import main
+from polyrep.cli import build_parser, main
+from polyrep.combine import AggregationMode, FusionOperator
+from polyrep.evidence import PositiveRule
 
 DATA = Path(__file__).parent / "data"
 
@@ -119,6 +121,14 @@ class TestPolyrep:
     def test_matches_golden(self, capsys):
         assert main(["polyrep", "--topics", str(DATA / "topics.jsonl")]) == 0
         assert capsys.readouterr().out == (DATA / "polyrep_golden.tsv").read_text()
+
+    @pytest.mark.parametrize("command", ["polyrep", "correlate"])
+    def test_run_option_choices_are_the_enum_values(self, command):
+        # argparse has no public list of a parser's actions
+        actions = {action.dest: action.choices for action in build_parser()[1][command]._actions}
+        assert actions["positive_rule"] == [rule.value for rule in PositiveRule]
+        assert actions["agg"] == [mode.value for mode in AggregationMode]
+        assert actions["operator"] == [op.value for op in FusionOperator] + ["both"]
 
     def test_single_topic_probability_equals_expectation(self, tmp_path, capsys):
         single = tmp_path / "one.jsonl"

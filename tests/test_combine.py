@@ -1,4 +1,4 @@
-"""Per-topic combination, the matrix runner, ranking and topic parsing."""
+"""Per-topic combination, the matrix runner, the best-cell rule and topic parsing."""
 
 import io
 import json
@@ -25,7 +25,6 @@ from polyrep.combine import (
     load_topics,
     matrix_specs,
     parse_topics,
-    rank_combinations,
     run_matrix,
     write_report,
 )
@@ -427,35 +426,6 @@ class TestRunMatrixWork:
         assert capsys.readouterr().out == (DATA / "termsets_golden.tsv").read_text()
 
 
-class TestRanking:
-    def _result(self, probability, operator=FusionOperator.CONSENSUS, order=None, **overrides):
-        return CombinationResult(
-            spec_for(operator, order=order, **overrides), (), probability
-        )
-
-    def test_single_result(self):
-        results = [self._result(0.4)]
-        assert rank_combinations(results) == results
-
-    def test_published_pair_orders_recommendation_first(self):
-        consensus_row = self._result(0.2064)
-        recommendation_row = self._result(
-            0.4764, FusionOperator.RECOMMENDATION, CombinationOrder.BA
-        )
-        ranked = rank_combinations([consensus_row, recommendation_row])
-        assert ranked[0] is recommendation_row
-
-    def test_ties_break_lexicographically(self):
-        first = self._result(0.3, rep_a="background", rep_b="ideal_answer")
-        second = self._result(0.3, rep_a="background", rep_b="work_task")
-        assert rank_combinations([second, first]) == [first, second]
-        assert rank_combinations([first, second]) == [first, second]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rank_combinations([])
-
-
 class TestTopicParsing:
     def test_fixture_round_trip(self, fixture_topics):
         assert [t.id for t in fixture_topics] == ["t1", "t2", "t3"]
@@ -562,6 +532,39 @@ class TestReport:
         ]
         assert lines[1].endswith("0.2500\t")
         assert lines[2].endswith("0.7500\t*")
+
+    def test_every_tie_is_starred_and_max_names_the_first(self):
+        # an empty representation gives a vacuous opinion, so its pairs tie exactly
+        topic = make_topic(information_need="alpha beta gamma", background="",
+                           work_task="beta delta", ideal_answer="", keywords="alpha beta")
+        results = run_matrix([topic], [PrepLevel.RAW])
+        buffer = io.StringIO()
+        write_report(results, buffer, mark_best=True)
+        rows = [line.split("\t") for line in buffer.getvalue().splitlines()[1:]]
+        assert [row[2:] for row in rows if row[1] == "consensus" and row[6]] == [
+            ["information_need", "background", "-", "0.6000", "*"],
+            ["information_need", "ideal_answer", "-", "0.6000", "*"],
+        ]
+        for order in ("AB", "BA"):
+            column = [row[5:] for row in rows if row[4] == order]
+            assert column == [["0.5000", "*"]] * 6
+        columns: dict[tuple[str, ...], list] = {}
+        for res, row in zip(results, rows):
+            columns.setdefault(res.spec.label[:2] + res.spec.label[4:], []).append((res, row))
+        assert len(columns) == 3
+        for column in columns.values():
+            best = max((res for res, _ in column), key=lambda res: res.aggregate_probability)
+            assert best is next(res for res, row in column if row[6] == "*")
+
+    def test_star_compares_full_precision(self):
+        cells = [CombinationResult(spec_for(FusionOperator.CONSENSUS, rep_b=rep_b), (), value)
+                 for rep_b, value in (("work_task", 0.25), ("background", 0.25001))]
+        buffer = io.StringIO()
+        write_report(cells, buffer, mark_best=True)
+        assert buffer.getvalue().splitlines()[1:] == [
+            "I\tconsensus\tinformation_need\twork_task\t-\t0.2500\t",
+            "I\tconsensus\tinformation_need\tbackground\t-\t0.2500\t*",
+        ]
 
     def test_probabilities_have_four_decimals(self, fixture_topics):
         buffer = io.StringIO()

@@ -656,9 +656,7 @@ class TestCorrelationTable:
         assert [cell[0] for cell in table] == [key for key, _, _ in expected]
         for (_, xs, ys, rho), (_, expected_rho, expected_text) in zip(table, expected):
             assert rho == expected_rho
-            buffer = io.StringIO()
-            write_plot_data(plot_column(xs), plot_column(ys), buffer)
-            assert buffer.getvalue() == expected_text
+            assert write_plot_data(plot_column(xs), plot_column(ys)) == expected_text
 
     def test_unknown_metric_named_as_by_correlate_components(self):
         result = result_with_beliefs([("t1", 0.2), ("t2", 0.6)])
