@@ -4,6 +4,7 @@ Runs use the standard six-column interchange format (``qid Q0 docid rank
 score tag``); ranks are recomputed from the scores so the rank column in
 the file is never trusted.  Judgments (``qid 0 docid grade``) carry grades
 0-3 read as gains 0/1/2/3; binary metrics treat grade > 0 as relevant.
+Each file is read in one pass, one line at a time.
 
 Six effectiveness measures are computed per query, all in one walk of its
 ranking by :func:`evaluate_query`, and averaged over every judged query:
@@ -32,7 +33,7 @@ from itertools import groupby
 from operator import add, attrgetter, mul
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .combine import REPORT_HEADER, CombinationResult
 from .textprep import _decimal, reading
@@ -93,38 +94,30 @@ class RunList(NamedTuple):
     cut: Mapping[str, int] = MappingProxyType({})
 
 
-def _fields(
-    source: str | Path | Iterable[str], width: int, error: type[ValueError]
-) -> Iterator[tuple[int, list[str]]]:
-    """Each nonblank line of ``source`` as (1-based line number, its fields).
-
-    A path is read lazily, one line at a time; a line without exactly
-    ``width`` whitespace-separated fields raises ``error``.
-    """
-    with reading(source, error) as lines:
-        for number, line in enumerate(lines, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != width:
-                raise error(f"line {number}: expected {width} fields, got {len(fields)}")
-            yield number, fields
-
-
 def parse_run(source: str | Path | Iterable[str]) -> RunList:
     """Parse a run file; duplicate documents within a query are rejected."""
     scored: dict[str, dict[str, float]] = {}
-    for number, (qid, _, docid, _, score_text, _) in _fields(source, 6, RunParseError):
-        try:
-            score = _decimal(score_text)
-        except ValueError as exc:
-            raise RunParseError(f"line {number}: bad score {score_text!r}") from exc
-        if not math.isfinite(score):
-            raise RunParseError(f"line {number}: non-finite score {score_text!r}")
-        per_query = scored.setdefault(qid, {})
-        if docid in per_query:
-            raise RunParseError(f"line {number}: duplicate document {docid!r} for query {qid!r}")
-        per_query[docid] = score
+    last = per_query = None
+    with reading(source, RunParseError) as lines:
+        for number, line in enumerate(lines, start=1):
+            fields = line.split()
+            try:
+                qid, _, docid, _, score_text, _ = fields
+            except ValueError:
+                if fields:
+                    raise RunParseError(f"line {number}: expected 6 fields, got {len(fields)}")
+                continue
+            try:
+                score = _decimal(score_text)
+            except ValueError as exc:
+                raise RunParseError(f"line {number}: bad score {score_text!r}") from exc
+            if not math.isfinite(score):
+                raise RunParseError(f"line {number}: non-finite score {score_text!r}")
+            if qid != last:  # a query's lines usually come together: look it up once per block
+                last, per_query = qid, scored.setdefault(qid, {})
+            if docid in per_query:
+                raise RunParseError(f"line {number}: duplicate document {docid!r} for query {qid!r}")
+            per_query[docid] = score
     rankings, cut = {}, {}
     for qid, docs in scored.items():
         ordered = sorted(docs.items(), key=lambda item: (-item[1], item[0]))
@@ -137,15 +130,25 @@ def parse_run(source: str | Path | Iterable[str]) -> RunList:
 def parse_qrels(source: str | Path | Iterable[str]) -> Qrels:
     """Parse graded judgments; one grade per (query, document) pair."""
     grades: dict[str, dict[str, int]] = {}
-    for number, (qid, _, docid, grade_text) in _fields(source, 4, QrelsParseError):
-        grade = _GRADE_OF.get(grade_text)
-        if grade is None:
-            raise QrelsParseError(
-                f"line {number}: grade must be one of {GRADES}, got {grade_text!r}")
-        per_query = grades.setdefault(qid, {})
-        if docid in per_query:
-            raise QrelsParseError(f"line {number}: duplicate judgment for {qid!r}/{docid!r}")
-        per_query[docid] = grade
+    last = per_query = None
+    with reading(source, QrelsParseError) as lines:
+        for number, line in enumerate(lines, start=1):
+            fields = line.split()
+            try:
+                qid, _, docid, grade_text = fields
+            except ValueError:
+                if fields:
+                    raise QrelsParseError(f"line {number}: expected 4 fields, got {len(fields)}")
+                continue
+            grade = _GRADE_OF.get(grade_text)
+            if grade is None:
+                raise QrelsParseError(
+                    f"line {number}: grade must be one of {GRADES}, got {grade_text!r}")
+            if qid != last:
+                last, per_query = qid, grades.setdefault(qid, {})
+            if docid in per_query:
+                raise QrelsParseError(f"line {number}: duplicate judgment for {qid!r}/{docid!r}")
+            per_query[docid] = grade
     return Qrels(grades)
 
 

@@ -5,12 +5,31 @@ counting-based ranks instead of sort-based ones) so that they share no
 code path with the package implementations they check.  An instance is a
 ranked list of document ids plus a docid -> grade judgment dict; grades
 follow the 0..3 gain convention with grade > 0 meaning relevant.
+
+:func:`parse_run_reference` and :func:`parse_qrels_reference` are the
+readers the package had before it read each file in one flat loop, kept
+verbatim (one ``_fields`` generator feeding a per-line query lookup).  They
+share the package's line source, score rule, records and errors, and check
+that the flat loop accepts, orders and rejects every input as they did.
 """
 
 from __future__ import annotations
 
 import math
 from math import fsum
+from pathlib import Path
+from typing import Iterable, Iterator
+
+from polyrep.ireval import (
+    _GRADE_OF,
+    EVALUATION_DEPTH,
+    GRADES,
+    Qrels,
+    QrelsParseError,
+    RunList,
+    RunParseError,
+)
+from polyrep.textprep import _decimal, reading
 
 
 def _is_relevant(judgments: dict[str, int], docid: str) -> bool:
@@ -131,3 +150,59 @@ def rank_correlation_five_sums(xs: list[float], ys: list[float]) -> float | None
     if covariance * covariance == variance_x * variance_y:
         return 1.0 if covariance > 0 else -1.0
     return covariance / math.sqrt(float(variance_x) * float(variance_y))
+
+
+def _fields(
+    source: str | Path | Iterable[str], width: int, error: type[ValueError]
+) -> Iterator[tuple[int, list[str]]]:
+    """Each nonblank line of ``source`` as (1-based line number, its fields).
+
+    A path is read lazily, one line at a time; a line without exactly
+    ``width`` whitespace-separated fields raises ``error``.
+    """
+    with reading(source, error) as lines:
+        for number, line in enumerate(lines, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != width:
+                raise error(f"line {number}: expected {width} fields, got {len(fields)}")
+            yield number, fields
+
+
+def parse_run_reference(source: str | Path | Iterable[str]) -> RunList:
+    """Parse a run file; duplicate documents within a query are rejected."""
+    scored: dict[str, dict[str, float]] = {}
+    for number, (qid, _, docid, _, score_text, _) in _fields(source, 6, RunParseError):
+        try:
+            score = _decimal(score_text)
+        except ValueError as exc:
+            raise RunParseError(f"line {number}: bad score {score_text!r}") from exc
+        if not math.isfinite(score):
+            raise RunParseError(f"line {number}: non-finite score {score_text!r}")
+        per_query = scored.setdefault(qid, {})
+        if docid in per_query:
+            raise RunParseError(f"line {number}: duplicate document {docid!r} for query {qid!r}")
+        per_query[docid] = score
+    rankings, cut = {}, {}
+    for qid, docs in scored.items():
+        ordered = sorted(docs.items(), key=lambda item: (-item[1], item[0]))
+        rankings[qid] = tuple(ordered[:EVALUATION_DEPTH])
+        if len(ordered) > EVALUATION_DEPTH:
+            cut[qid] = len(ordered) - EVALUATION_DEPTH
+    return RunList(rankings, cut)
+
+
+def parse_qrels_reference(source: str | Path | Iterable[str]) -> Qrels:
+    """Parse graded judgments; one grade per (query, document) pair."""
+    grades: dict[str, dict[str, int]] = {}
+    for number, (qid, _, docid, grade_text) in _fields(source, 4, QrelsParseError):
+        grade = _GRADE_OF.get(grade_text)
+        if grade is None:
+            raise QrelsParseError(
+                f"line {number}: grade must be one of {GRADES}, got {grade_text!r}")
+        per_query = grades.setdefault(qid, {})
+        if docid in per_query:
+            raise QrelsParseError(f"line {number}: duplicate judgment for {qid!r}/{docid!r}")
+        per_query[docid] = grade
+    return Qrels(grades)

@@ -5,10 +5,11 @@ import math
 import random
 import re
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrep.combine import (
@@ -19,6 +20,7 @@ from polyrep.combine import (
 )
 from polyrep.ireval import (
     CORRELATION_COLUMNS,
+    GRADES,
     METRICS,
     Component,
     MetricReport,
@@ -118,6 +120,18 @@ class TestParseRun:
         path.write_text("q1 Q0 d1 1 1.0 t\n")
         assert parse_run(path).rankings == {"q1": (("d1", 1.0),)}
 
+    def test_query_lines_need_not_be_contiguous(self):
+        split = ["q1 Q0 a 1 3.0 t", "q2 Q0 c 1 1.0 t", "q1 Q0 b 2 2.0 t"]
+        grouped = [split[0], split[2], split[1]]
+        assert parse_run(split) == parse_run(grouped)
+        assert parse_run(split).rankings == {"q1": (("a", 3.0), ("b", 2.0)), "q2": (("c", 1.0),)}
+
+    def test_duplicate_in_a_later_block_names_that_line(self):
+        lines = ["q1 Q0 a 1 3.0 t", "q2 Q0 a 1 1.0 t", "q1 Q0 b 2 2.0 t", "q1 Q0 a 3 1.0 t"]
+        with pytest.raises(RunParseError) as excinfo:
+            parse_run(lines)
+        assert str(excinfo.value) == "line 4: duplicate document 'a' for query 'q1'"
+
 
 class TestParseQrels:
     def test_empty_source(self):
@@ -141,6 +155,161 @@ class TestParseQrels:
     def test_malformed_line_reports_number(self):
         with pytest.raises(QrelsParseError, match="line 2"):
             parse_qrels(["q1 0 d1 1", "q1 d2"])
+
+    def test_query_lines_need_not_be_contiguous(self):
+        split = ["q1 0 a 3", "q2 0 c 1", "q1 0 b 0"]
+        grouped = [split[0], split[2], split[1]]
+        assert parse_qrels(split) == parse_qrels(grouped)
+        assert parse_qrels(split).grades == {"q1": {"a": 3, "b": 0}, "q2": {"c": 1}}
+
+    def test_duplicate_in_a_later_block_names_that_line(self):
+        lines = ["q1 0 a 1", "q2 0 a 2", "q1 0 b 0", "q1 0 a 1"]
+        with pytest.raises(QrelsParseError) as excinfo:
+            parse_qrels(lines)
+        assert str(excinfo.value) == "line 4: duplicate judgment for 'q1'/'a'"
+
+
+# Whitespace that str.split() separates at but reading a file does not end a line at.
+BLANKS = " \t\x0b\x0c\u3000\u2028"
+QIDS, DOCIDS = ("q1", "q2", "q3"), ("a", "b", "c", "d")
+
+
+class Reader(NamedTuple):
+    parse: Callable
+    reference: Callable
+    line: Callable[[str, str, str], str]  # (qid, docid, score or grade) -> its line
+    values: st.SearchStrategy[str]
+    bad_values: tuple[str, ...]
+
+
+READERS = {
+    "run": Reader(parse_run, oracles.parse_run_reference,
+                  lambda qid, docid, score: f"{qid} Q0 {docid} 0 {score} t",
+                  st.sampled_from(["1.0", "2", "0.5", "-3.25", "1e2", "1.00", "+7", ".5", "-0"]),
+                  ("1_0", "\u0663", "x", "inf", "nan")),
+    "qrels": Reader(parse_qrels, oracles.parse_qrels_reference,
+                    lambda qid, docid, grade: f"{qid} 0 {docid} {grade}",
+                    st.sampled_from([str(grade) for grade in GRADES]), ("01", "x")),
+}
+
+
+def bad_line(reader, fault, qid, docid):
+    """A line one field short or one field long, or else holding ``fault`` as its value."""
+    line = reader.line(qid, docid, "1")
+    if fault == "one field short":
+        return line.rsplit(maxsplit=1)[0]
+    if fault == "one field long":
+        return f"{line} extra"
+    return reader.line(qid, docid, fault)
+
+
+FORMS = ("lines", "newline-ended lines", "file", "file with a byte order mark")
+
+
+@st.composite
+def reader_lines(draw, reader):
+    """Valid lines whose query blocks interleave, spaced by any whitespace, among blank lines."""
+    records = draw(st.lists(st.tuples(st.sampled_from(QIDS), st.sampled_from(DOCIDS),
+                                      reader.values),
+                            unique_by=lambda record: record[:2], max_size=12))
+    lines = []
+    for record in records:
+        gap, pad = st.text(BLANKS, min_size=1, max_size=2), st.text(BLANKS, max_size=2)
+        lines.append(draw(pad) + draw(gap).join(reader.line(*record).split()) + draw(pad))
+        if draw(st.booleans()):
+            lines.append(draw(st.text(BLANKS, max_size=3)))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers") / "input.txt"
+
+
+def as_source(lines, form, path):
+    """``lines`` as a line list, or as a file whose lines they are."""
+    if form == "lines":
+        return lines
+    if form == "newline-ended lines":
+        return [line + "\n" for line in lines]
+    encoding = "utf-8-sig" if form == "file with a byte order mark" else "utf-8"
+    path.write_text("".join(line + "\n" for line in lines), encoding=encoding)
+    return path
+
+
+class TestReadersAgainstReference:
+    """The one-loop readers against the generator-based ones they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(READERS)).flatmap(
+        lambda kind: st.tuples(st.just(kind), reader_lines(READERS[kind]))), st.sampled_from(FORMS))
+    @example(("run", ["q1 Q0 a 0 1 t", "q2 Q0 b 0 2 t", " ", "q1 Q0 b 0 3 t"]), "lines")
+    @example(("qrels", ["q1 0 a 1", "\t", "q2 0 a 0", "q1 0 b 3"]), "file with a byte order mark")
+    def test_valid_input_read_as_by_the_reference(self, input_file, case, form):
+        kind, lines = case
+        reader = READERS[kind]
+        source = as_source(lines, form, input_file)
+        expected = reader.reference(source)
+        got = reader.parse(source)
+        assert got == expected
+        assert repr(got) == repr(expected)  # the same query order, documents and scores
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(READERS)), st.sampled_from(FORMS), st.data())
+    def test_a_bad_line_is_named_as_by_the_reference(self, input_file, kind, form, data):
+        reader = READERS[kind]
+        lines = data.draw(reader_lines(reader)) or [reader.line("q1", "a", "1")]
+        fault = data.draw(st.sampled_from(
+            ["duplicate", "one field short", "one field long", *reader.bad_values]))
+        if fault == "duplicate":
+            # the same query's document again, in a later block that another query's line opens
+            first = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.split()]))
+            qid, _, docid, *_ = lines[first].split()
+            at = data.draw(st.integers(first + 1, len(lines)))
+            injected = [reader.line("q9", "other", "1"), reader.line(qid, docid, "1")]
+        else:
+            at = data.draw(st.integers(0, len(lines)))
+            injected = [bad_line(reader, fault, data.draw(st.sampled_from(QIDS)), "new")]
+        lines[at:at] = injected
+        source = as_source(lines, form, input_file)
+        with pytest.raises(ValueError) as expected:
+            reader.reference(source)
+        with pytest.raises(ValueError) as got:
+            reader.parse(source)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(f"line {at + len(injected)}: ")
+
+
+class CountingLines:
+    """A one-shot line source that counts the lines taken from it."""
+
+    def __init__(self, lines):
+        self._lines = iter(lines)
+        self.taken = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self._lines)
+        self.taken += 1
+        return line
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("number", [2, 9])
+@pytest.mark.parametrize("fault", ["duplicate", "one field short", "x"])
+def test_reading_stops_at_the_bad_line(kind, number, fault):
+    # one line at a time: nothing past the bad line is read, so a long file fails as early
+    reader = READERS[kind]
+    good = [reader.line(QIDS[i % 2], f"d{i}", "1") for i in range(1, number)]
+    bad = (reader.line(QIDS[1], "d1", "1") if fault == "duplicate"
+           else bad_line(reader, fault, "q1", "new"))
+    source = CountingLines([*good, bad, *(reader.line("q3", f"d{i}", "1") for i in range(100))])
+    with pytest.raises(ValueError, match=f"^line {number}: "):
+        reader.parse(source)
+    assert source.taken == number
 
 
 class TestAveragePrecision:
