@@ -42,7 +42,7 @@ topics = [
 ]
 
 results = run_matrix(topics, [PrepLevel.CASE_PUNCT, PrepLevel.STEM])
-write_report(results, sys.stdout, mark_best=True)
+write_report(results, sys.stdout)
 
 print("\nTop five combinations overall:")
 for res in sorted(results, key=lambda res: res.aggregate_probability, reverse=True)[:5]:

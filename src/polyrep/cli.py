@@ -184,7 +184,7 @@ def cmd_prep(args: argparse.Namespace) -> int:
 def cmd_polyrep(args: argparse.Namespace) -> int:
     results = _matrix(args)
     _write(args, "polyrep", lambda: {"results": [_result_record(res) for res in results]},
-           lambda stream: write_report(results, stream, mark_best=True))
+           lambda stream: write_report(results, stream))
     return 0
 
 

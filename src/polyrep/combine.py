@@ -268,7 +268,7 @@ def parse_topics(lines: Iterable[str]) -> list[Topic]:
             record = json.loads(line, object_pairs_hook=_fields_once)
         except json.JSONDecodeError as exc:
             raise TopicParseError(f"line {number}: invalid JSON ({exc.msg})") from exc
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise TopicParseError(f"line {number}: {exc}") from exc
         if not isinstance(record, dict):
             raise TopicParseError(f"line {number}: expected an object")
@@ -278,19 +278,17 @@ def parse_topics(lines: Iterable[str]) -> list[Topic]:
         missing = sorted(set(TOPIC_FIELDS) - set(record))
         if missing:
             raise TopicParseError(f"line {number}: missing fields {missing}")
-        if not all(isinstance(record[field], str) for field in TOPIC_FIELDS):
-            raise TopicParseError(f"line {number}: all fields must be strings")
-        topic_id = record["id"]
-        if topic_id in first_line:
-            raise TopicParseError(
-                f"line {number}: duplicate topic id {topic_id!r} (first on line "
-                f"{first_line[topic_id]})"
-            )
-        first_line[topic_id] = number
         try:
-            topics.append(Topic(**record))
-        except ValueError as exc:
+            topic = Topic(**record)
+        except (TypeError, ValueError) as exc:
             raise TopicParseError(f"line {number}: {exc}") from exc
+        if topic.id in first_line:
+            raise TopicParseError(
+                f"line {number}: duplicate topic id {topic.id!r} (first on line "
+                f"{first_line[topic.id]})"
+            )
+        first_line[topic.id] = number
+        topics.append(topic)
     return topics
 
 
@@ -302,32 +300,24 @@ def load_topics(path: str | Path) -> list[Topic]:
 REPORT_HEADER = ("level", "operator", "rep_a", "rep_b", "order", "probability")
 
 
-def write_report(
-    results: Sequence[CombinationResult],
-    stream: IO[str],
-    mark_best: bool = False,
-) -> None:
+def write_report(results: Sequence[CombinationResult], stream: IO[str]) -> None:
     """Write the combination table as TSV with 4-decimal probabilities.
 
-    With ``mark_best`` an extra column flags the maximum probability within
-    each (level, operator, order) column, the plain-text equivalent of the
-    bold entries in the published table layout.  This star is the one rule
-    for the best cell: a cell is best when its probability equals its
-    column's maximum at full precision, not at four decimals, and every tied
-    cell is starred.  A caller that needs one cell takes the first starred
-    cell in matrix order, which is what ``max`` over the results returns.
+    The last column, ``best``, flags the maximum probability within each
+    (level, operator, order) column, the plain-text equivalent of the bold
+    entries in the published table layout.  This star is the one rule for
+    the best cell: a cell is best when its probability equals its column's
+    maximum at full precision, not at four decimals, and every tied cell is
+    starred.  A caller that needs one cell takes the first starred cell in
+    matrix order, which is what ``max`` over the results returns.
     """
-    header = REPORT_HEADER + (("best",) if mark_best else ())
-    stream.write("\t".join(header) + "\n")
+    stream.write("\t".join(REPORT_HEADER + ("best",)) + "\n")
     column_max: dict[tuple[str, ...], float] = {}  # keyed on the label without the pair
-    if mark_best:
-        for res in results:
-            label, value = res.spec.label, res.aggregate_probability
-            key = label[:2] + label[4:]
-            column_max[key] = max(column_max.get(key, value), value)
     for res in results:
         label, value = res.spec.label, res.aggregate_probability
-        row = [*label, f"{value:.4f}"]
-        if mark_best:
-            row.append("*" if value == column_max[label[:2] + label[4:]] else "")
-        stream.write("\t".join(row) + "\n")
+        key = label[:2] + label[4:]
+        column_max[key] = max(column_max.get(key, value), value)
+    for res in results:
+        label, value = res.spec.label, res.aggregate_probability
+        best = "*" if value == column_max[label[:2] + label[4:]] else ""
+        stream.write("\t".join([*label, f"{value:.4f}", best]) + "\n")

@@ -7,11 +7,13 @@ each such character into a space and ``str.split`` cuts there.  Level III
 additionally drops members of the bundled SMART stopword list, and level
 IV Porter-stems the survivors.  Every level returns a deduplicated term
 set; term frequency and order are discarded deliberately.  Levels III and
-IV are built from the set one level down (:func:`term_sets` builds a
-text's levels in that cascade), so a text is split once however many
-levels are asked for.  A caller that builds the sets of many texts passes
-one :class:`Stems` memo down the cascade, so each distinct word is
-stemmed once for as long as the caller keeps the memo.
+IV are built from the set one level down: :func:`term_sets` builds a
+text's levels in that cascade, so a text is split once however many
+levels are asked for, and :func:`tokenize` given no set from below builds
+the levels under the one asked for itself.  A caller that builds the sets
+of many texts passes one :class:`Stems` memo down the cascade, so each
+distinct word is stemmed once for as long as the caller keeps the memo.
+A level that is not a :class:`PrepLevel` is rejected.
 
 :func:`reading` opens every input file the package reads (topics, runs,
 judgments and config files), and ``_decimal`` reads run scores and ``--alpha``.
@@ -83,19 +85,12 @@ class Stems(dict):
         return stem
 
 
-def _step(text: str, level: PrepLevel, below: TermSet | None,
-          stems: Stems | None = None) -> TermSet:
-    # Levels I and II read the text; III and IV read the set one level down.
-    if level is PrepLevel.RAW:
-        return frozenset(text.split())
-    if level is PrepLevel.CASE_PUNCT:
-        return frozenset(_alnum_tokens(text.lower()))
-    if level is PrepLevel.STOP:
-        return below - _STOPWORDS
-    return frozenset(map(porter_stem if stems is None else stems.__getitem__, below))
-
-
 _CASCADE = (PrepLevel.CASE_PUNCT, PrepLevel.STOP, PrepLevel.STEM)
+
+
+def _check_level(level: object) -> None:
+    if not isinstance(level, PrepLevel):
+        raise ValueError(f"level {level!r} is not a PrepLevel")
 
 
 def tokenize(text: str, level: PrepLevel, below: TermSet | None = None,
@@ -108,13 +103,18 @@ def tokenize(text: str, level: PrepLevel, below: TermSet | None = None,
     read the text and take no ``below``.  Level IV looks its words up in
     ``stems`` if given; the other levels do not use it.
     """
+    _check_level(level)
     if level in (PrepLevel.RAW, PrepLevel.CASE_PUNCT):
         if below is not None:
             raise ValueError(f"level {level.value} reads the text, not a term set from below")
-    elif below is None:
-        for step in _CASCADE[: _CASCADE.index(level)]:
-            below = _step(text, step, below)
-    return _step(text, level, below, stems)
+        return frozenset(text.split() if level is PrepLevel.RAW else _alnum_tokens(text.lower()))
+    if below is None:  # build level II, and level III under level IV
+        below = frozenset(_alnum_tokens(text.lower()))
+        if level is PrepLevel.STEM:
+            below -= _STOPWORDS
+    if level is PrepLevel.STOP:
+        return below - _STOPWORDS
+    return frozenset(map(porter_stem if stems is None else stems.__getitem__, below))
 
 
 def term_sets(text: str, levels: Collection[PrepLevel],
@@ -125,6 +125,8 @@ def term_sets(text: str, levels: Collection[PrepLevel],
     way; level I only when asked for, and nothing above the highest.
     Level IV looks its words up in ``stems`` if given.
     """
+    for level in levels:
+        _check_level(level)
     sets = {PrepLevel.RAW: tokenize(text, PrepLevel.RAW)} if PrepLevel.RAW in levels else {}
     top = max((_CASCADE.index(level) + 1 for level in levels if level in _CASCADE), default=0)
     below = None

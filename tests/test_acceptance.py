@@ -306,7 +306,7 @@ def test_criterion_7_determinism(tmp_path, capsys):
     assert len(names) > 860  # table reports plus one plot file per figure
 
     report = io.StringIO()
-    write_report(run_matrix(load_topics(topics), list(PrepLevel)), report, mark_best=True)
+    write_report(run_matrix(load_topics(topics), list(PrepLevel)), report)
     assert report.getvalue() == (DATA / "polyrep_golden.tsv").read_text()
 
 

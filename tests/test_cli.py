@@ -82,6 +82,16 @@ class TestPrep:
         assert out.out == ""
         assert out.err == "polyrep: error: line 1: field 'keywords' is given more than once\n"
 
+    def test_deeply_nested_record_exits_nonzero_with_line_number(self, tmp_path, capsys):
+        first = DATA.joinpath("topics.jsonl").read_text().splitlines()[0]
+        topics = tmp_path / "topics.jsonl"
+        topics.write_text(first + "\n" + "[" * 100_000 + "\n")
+        assert main(["prep", "--topics", str(topics)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("polyrep: error: line 2: ")
+        assert out.err.count("\n") == 1 and out.err.endswith("\n")
+
     def test_bad_record_exits_nonzero_with_line_number(self, tmp_path, capsys):
         bad = tmp_path / "topics.jsonl"
         bad.write_text('{"id": "x"}\n')

@@ -448,8 +448,18 @@ class TestTopicParsing:
             '{"id": "x", "information_need": 3, "background": "b", '
             '"work_task": "c", "ideal_answer": "d", "keywords": "e"}'
         )
-        with pytest.raises(TopicParseError, match="strings"):
+        with pytest.raises(TopicParseError,
+                           match="^line 1: topic field information_need must be a str, got int$"):
             parse_topics([line])
+
+    def test_deeply_nested_json_names_the_line(self):
+        # json.loads raises RecursionError here, neither a JSONDecodeError nor a ValueError
+        good = (
+            '{"id": "x", "information_need": "a", "background": "b", '
+            '"work_task": "c", "ideal_answer": "d", "keywords": "e"}'
+        )
+        with pytest.raises(TopicParseError, match="^line 2: maximum recursion depth exceeded"):
+            parse_topics([good, "[" * 100_000])
 
     @pytest.mark.parametrize("field", ["keywords", "id", "background"])
     def test_repeated_field_rejected_naming_it(self, field):
@@ -513,7 +523,7 @@ class TestReport:
     def test_golden_report(self, fixture_topics):
         results = run_matrix(fixture_topics, ALL_LEVELS)
         buffer = io.StringIO()
-        write_report(results, buffer, mark_best=True)
+        write_report(results, buffer)
         golden = (DATA / "polyrep_golden.tsv").read_text()
         assert buffer.getvalue() == golden
 
@@ -525,7 +535,7 @@ class TestReport:
             0.75,
         )
         buffer = io.StringIO()
-        write_report([low, high], buffer, mark_best=True)
+        write_report([low, high], buffer)
         lines = buffer.getvalue().splitlines()
         assert lines[0].split("\t") == [
             "level", "operator", "rep_a", "rep_b", "order", "probability", "best",
@@ -539,7 +549,7 @@ class TestReport:
                            work_task="beta delta", ideal_answer="", keywords="alpha beta")
         results = run_matrix([topic], [PrepLevel.RAW])
         buffer = io.StringIO()
-        write_report(results, buffer, mark_best=True)
+        write_report(results, buffer)
         rows = [line.split("\t") for line in buffer.getvalue().splitlines()[1:]]
         assert [row[2:] for row in rows if row[1] == "consensus" and row[6]] == [
             ["information_need", "background", "-", "0.6000", "*"],
@@ -560,7 +570,7 @@ class TestReport:
         cells = [CombinationResult(spec_for(FusionOperator.CONSENSUS, rep_b=rep_b), (), value)
                  for rep_b, value in (("work_task", 0.25), ("background", 0.25001))]
         buffer = io.StringIO()
-        write_report(cells, buffer, mark_best=True)
+        write_report(cells, buffer)
         assert buffer.getvalue().splitlines()[1:] == [
             "I\tconsensus\tinformation_need\twork_task\t-\t0.2500\t",
             "I\tconsensus\tinformation_need\tbackground\t-\t0.2500\t*",

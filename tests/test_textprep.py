@@ -1,5 +1,6 @@
 """Tokenization levels, stopword membership and the bundled stoplist file."""
 
+import re
 import unicodedata
 from importlib import resources
 
@@ -199,6 +200,17 @@ class TestCascade:
     def test_levels_that_read_the_text_refuse_a_set_from_below(self, level):
         with pytest.raises(ValueError, match=f"level {level.value} reads the text"):
             tokenize("a b", level, frozenset({"a"}))
+
+    @pytest.mark.parametrize("call", [
+        lambda level: tokenize("The Cats", level),
+        lambda level: tokenize("x", level, frozenset({"running"})),
+        lambda level: term_sets("The Cats", [level]),
+        lambda level: term_sets("The Cats", [PrepLevel.STEM, level]),
+    ], ids=["tokenize", "tokenize-below", "term_sets", "term_sets-mixed"])
+    @pytest.mark.parametrize("level", ["I", "II", "IV", None])
+    def test_a_level_that_is_not_a_prep_level_is_rejected(self, call, level):
+        with pytest.raises(ValueError, match=rf"^level {re.escape(repr(level))} is not a PrepLevel$"):
+            call(level)
 
 
 def _alnum_runs(text):
