@@ -23,21 +23,20 @@ import io
 import json
 import os
 import sys
-from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable
 
 from .combine import (
     REPORT_HEADER,
-    TOPIC_TEXTS,
     AggregationMode,
     CombinationResult,
     FusionOperator,
     load_topics,
     run_matrix,
+    topic_term_sets,
     write_report,
 )
 from .evidence import PositiveRule
-from .textprep import PrepLevel, Stems, _decimal, reading, term_sets
+from .textprep import PrepLevel, _decimal, reading
 
 if TYPE_CHECKING:
     from .ireval import MetricReport
@@ -100,11 +99,7 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
 
 
 def _parse_levels(text: str) -> list[PrepLevel]:
-    levels = [PrepLevel.from_code(code) for code in text.split(",")]
-    for index, level in enumerate(levels):
-        if level in levels[:index]:
-            raise CliError(f"preprocessing level {level.value} is given more than once")
-    return levels
+    return [PrepLevel.from_code(code) for code in text.split(",")]
 
 
 def _parse_alpha(text: str) -> float:
@@ -115,6 +110,12 @@ def _parse_alpha(text: str) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise CliError(f"alpha must be in [0, 1], got {alpha}")
     return alpha
+
+
+def _out_dir(text: str) -> str:
+    if not text:  # os.makedirs("") fails, and a file name joined to "" lands in the cwd
+        raise argparse.ArgumentTypeError("expected a directory, got an empty string")
+    return text
 
 
 def _emit(text: str, out_dir: str | None, filename: str) -> None:
@@ -135,7 +136,7 @@ def _write(args: argparse.Namespace, stem: str, payload: Callable[[], object],
     on stderr and kept.
     """
     if args.out is not None:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
         other = stem + (".tsv" if args.format == "obj" else ".json")
         if os.path.exists(os.path.join(args.out, other)):
             _warn("report in --out in the other --format, kept", [other])
@@ -159,13 +160,9 @@ def _matrix(args: argparse.Namespace) -> list[CombinationResult]:
 def cmd_prep(args: argparse.Namespace) -> int:
     topics = load_topics(args.topics)
     levels = _parse_levels(args.prep)
-    rows = []
-    stems = Stems()
-    for topic in topics:
-        for representation in TOPIC_TEXTS:
-            sets = term_sets(getattr(topic, representation), levels, stems)
-            rows.extend((topic.id, representation, level.value, sorted(sets[level]))
-                        for level in levels)
+    rows = [(topic.id, representation, level.value, sorted(sets[level]))
+            for topic, by_text in topic_term_sets(topics, levels)
+            for representation, sets in by_text.items() for level in levels]
 
     def write_tsv(stream: IO[str]) -> None:
         stream.write("topic\trepresentation\tlevel\tterms\n")
@@ -248,8 +245,10 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     report = _evaluate(args)
     table = correlation_table(results, report)  # all of it before any file is written
     names = [_plot_filename(key) for key, _, _, _ in table]
+    present = os.listdir(args.out) if os.path.isdir(args.out) else []  # _write makes it
     _warn("plot files in --out that this run does not write, kept",
-          sorted({path.name for path in Path(args.out).glob("plot_*.tsv")} - set(names)))
+          sorted({name for name in present if name.startswith("plot_") and name.endswith(".tsv")}
+                 - set(names)))
 
     def write_tsv(stream: IO[str]) -> None:
         stream.write("\t".join(CORRELATION_COLUMNS) + "\n")
@@ -282,7 +281,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> None:
         sub.add_argument("--config", help="flat key=value options file")
-        sub.add_argument("--out", required=out_required,
+        sub.add_argument("--out", required=out_required, type=_out_dir,
                          help="output directory (default: stdout)")
         sub.add_argument("--format", choices=["tsv", "obj"], default="tsv",
                          help="report format (default tsv)")

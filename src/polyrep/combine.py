@@ -25,8 +25,7 @@ import json
 from functools import cache, reduce
 from itertools import combinations, groupby
 from operator import add
-from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .evidence import (
     EvidencePair,
@@ -35,7 +34,7 @@ from .evidence import (
     recommendation_evidence,
 )
 from .opinions import EvidenceCounts, Opinion, consensus, expectation, from_evidence, recommendation
-from .textprep import PrepLevel, Stems, TermSet, reading, term_sets, tokenize
+from .textprep import PrepLevel, Source, Stems, TermSet, reading, term_sets, tokenize
 
 #: The four context representations combined pairwise; the keyword
 #: representation always plays the role of the query.
@@ -175,6 +174,21 @@ def matrix_specs(level: PrepLevel) -> list[CombinationSpec]:
                for pair in pairs for order in CombinationOrder])
 
 
+def topic_term_sets(topics: Iterable[Topic], levels: Sequence[PrepLevel]
+                    ) -> Iterator[tuple[Topic, dict[str, dict[PrepLevel, TermSet]]]]:
+    """Each topic with its five texts' term sets by name and level: :func:`run_matrix`'s input.
+
+    One :class:`Stems` memo serves every text.  A level given twice raises
+    ValueError before the first topic.
+    """
+    for index, level in enumerate(levels):
+        if level in levels[:index]:
+            raise ValueError(f"preprocessing level {PrepLevel(level).value} is given more than once")
+    stems = Stems()
+    for topic in topics:
+        yield topic, {name: term_sets(getattr(topic, name), levels, stems) for name in TOPIC_TEXTS}
+
+
 def run_matrix(
     topics: Sequence[Topic],
     levels: Sequence[PrepLevel],
@@ -185,9 +199,8 @@ def run_matrix(
     """Evaluate every combination cell for every level over all topics.
 
     Results come in matrix order: levels as given, consensus pairs then
-    recommendation pairs.  Each topic's five texts are tokenized once for
-    all levels, each level built from the one below, and dropped before the
-    next topic; each distinct level-III word is stemmed once per call.  Per
+    recommendation pairs.  Each topic's term sets come from
+    :func:`topic_term_sets` and are dropped before the next topic.  Per
     level, the cells fall into evidence groups: a consensus cell alone, or a
     pair's AB and BA cells.  Per topic a group gets one evidence and one
     opinion pair, and it keeps one pooled sum; each distinct evidence count
@@ -201,10 +214,6 @@ def run_matrix(
         raise EmptyTopicListError("at least one topic is required")
     if not levels:
         raise ValueError("at least one preprocessing level is required")
-    for index, level in enumerate(levels):
-        if level in levels[:index]:
-            raise ValueError(
-                f"preprocessing level {PrepLevel(level).value} is given more than once")
     # Per level, one (cells, pooled sums) pair per evidence group, each cell a
     # (spec, per-topic entries) pair; the sums are positive/negative for a, then b.
     table = [
@@ -214,9 +223,7 @@ def run_matrix(
         for level in levels
     ]
     opinion = cache(lambda counts: from_evidence(counts, alpha))
-    stems = Stems()
-    for topic in topics:
-        by_text = {name: term_sets(getattr(topic, name), levels, stems) for name in TOPIC_TEXTS}
+    for topic, by_text in topic_term_sets(topics, levels):
         for level, groups in zip(levels, table):
             sets = {name: level_sets[level] for name, level_sets in by_text.items()}
             for cells, sums in groups:
@@ -292,7 +299,7 @@ def parse_topics(lines: Iterable[str]) -> list[Topic]:
     return topics
 
 
-def load_topics(path: str | Path) -> list[Topic]:
+def load_topics(path: Source) -> list[Topic]:
     with reading(path, TopicParseError) as lines:
         return parse_topics(lines)
 

@@ -31,12 +31,11 @@ import math
 from functools import reduce
 from itertools import groupby
 from operator import add, attrgetter, mul
-from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .combine import REPORT_HEADER, CombinationResult
-from .textprep import _decimal, reading
+from .textprep import Source, _decimal, reading
 
 #: Evaluation depth: only the strongest-scored documents per query count.
 EVALUATION_DEPTH = 1000
@@ -94,7 +93,7 @@ class RunList(NamedTuple):
     cut: Mapping[str, int] = MappingProxyType({})
 
 
-def parse_run(source: str | Path | Iterable[str]) -> RunList:
+def parse_run(source: Source) -> RunList:
     """Parse a run file; duplicate documents within a query are rejected."""
     scored: dict[str, dict[str, float]] = {}
     last = per_query = None
@@ -127,7 +126,7 @@ def parse_run(source: str | Path | Iterable[str]) -> RunList:
     return RunList(rankings, cut)
 
 
-def parse_qrels(source: str | Path | Iterable[str]) -> Qrels:
+def parse_qrels(source: Source) -> Qrels:
     """Parse graded judgments; one grade per (query, document) pair."""
     grades: dict[str, dict[str, int]] = {}
     last = per_query = None

@@ -22,15 +22,17 @@ judgments and config files), and ``_decimal`` reads run scores and ``--alpha``.
 from __future__ import annotations
 
 import enum
+import os
 import re
 from contextlib import contextmanager
-from importlib import resources
-from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator
 
 from .porter import porter_stem
 
 TermSet = frozenset[str]
+
+#: What :func:`reading` reads: a path (a ``str`` or any ``os.PathLike``) or the lines themselves.
+Source = str | os.PathLike | Iterable[str]
 
 
 class PrepLevel(enum.Enum):
@@ -51,11 +53,10 @@ class PrepLevel(enum.Enum):
         raise ValueError(f"unknown preprocessing level {code!r}")
 
 
-_STOPWORDS: frozenset[str] = frozenset(
-    (resources.files(__package__) / "data" / "smart_stopwords.txt")
-    .read_text(encoding="utf-8")
-    .split()
-)
+# a plain file beside this module, so the package cannot run from inside a zip archive
+with open(os.path.join(os.path.dirname(__file__), "data", "smart_stopwords.txt"),
+          encoding="utf-8") as _fh:
+    _STOPWORDS: frozenset[str] = frozenset(_fh.read().split())
 
 
 class _Separators(dict):
@@ -136,24 +137,24 @@ def term_sets(text: str, levels: Collection[PrepLevel],
 
 
 @contextmanager
-def reading(
-    source: str | Path | Iterable[str], error: Callable[[str], Exception]
-) -> Iterator[Iterable[str]]:
+def reading(source: Source, error: Callable[[str], Exception]) -> Iterator[Iterable[str]]:
     """The lines of ``source``: a path is opened as UTF-8, other lines come back unchanged.
 
     A leading byte order mark is dropped and lines end at \\n, \\r or \\r\\n.
     Bytes that are not UTF-8, met while the caller iterates in its ``with``
     body, raise ``error`` with the path, the 1-based line and the byte.
     """
-    if not isinstance(source, (str, Path)):
+    if not isinstance(source, (str, os.PathLike)):
         yield source
         return
+    source = os.fspath(source)  # so a message names the path, not the object
     with open(source, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
             # each byte that is not UTF-8 becomes one lone surrogate, U+DC80..U+DCFF
-            text = Path(source).read_bytes().decode("utf-8", "surrogateescape")
+            with open(source, "rb") as raw:
+                text = raw.read().decode("utf-8", "surrogateescape")
             bad = re.search("[\udc80-\udcff]", text)
             if bad is None:
                 raise error(f"{source}: not valid UTF-8 when first read") from None

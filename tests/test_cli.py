@@ -266,9 +266,13 @@ class TestPolyrep:
         assert out.out == ""
         assert "line 2" in out.err and "duplicate" in out.err
 
-    @pytest.mark.parametrize("levels", ["I,I", "II,III,CASE_PUNCT"])
-    def test_repeated_level_rejected(self, capsys, levels):
-        argv = ["polyrep", "--topics", str(DATA / "topics.jsonl"), "--prep", levels]
+    @pytest.mark.parametrize("command, levels", [
+        pytest.param("polyrep", "I,I", id="I,I"),
+        pytest.param("polyrep", "II,III,CASE_PUNCT", id="II,III,CASE_PUNCT"),
+        pytest.param("prep", "I,I", id="prep-I,I"),
+    ])
+    def test_repeated_level_rejected(self, capsys, command, levels):
+        argv = [command, "--topics", str(DATA / "topics.jsonl"), "--prep", levels]
         assert main(argv) == 1
         out = capsys.readouterr()
         assert out.out == ""
@@ -817,6 +821,35 @@ class TestConfigFile:
         assert outputs[0] == outputs[1]
         assert main(["polyrep", "--topics", str(DATA / "topics.jsonl"), "--prep", "II"]) == 0
         assert capsys.readouterr().out != outputs[0]
+
+
+class TestEmptyOut:
+    """An empty ``--out`` is a usage error, not the working directory."""
+
+    @pytest.mark.parametrize("command", ["prep", "polyrep", "evaluate", "correlate"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_is_rejected_and_nothing_is_written(self, tmp_path, monkeypatch, capsys, command,
+                                                given):
+        monkeypatch.chdir(tmp_path)
+        inputs = {
+            "prep": ["--topics", str(DATA / "topics.jsonl")],
+            "polyrep": ["--topics", str(DATA / "topics.jsonl")],
+            "evaluate": ["--run", str(DATA / "run.txt"), "--qrels", str(DATA / "qrels.txt")],
+        }
+        inputs["correlate"] = inputs["polyrep"] + inputs["evaluate"]
+        if given == "flag":
+            out = ["--out", ""]
+        else:
+            (tmp_path / "run.conf").write_text("out=\n")
+            out = ["--config", "run.conf"]
+        with pytest.raises(SystemExit) as exited:
+            main([command, *inputs[command], *out])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --out: expected a directory, got an empty string" in captured.err
+        assert sorted(path.name for path in tmp_path.iterdir()) == (
+            [] if given == "flag" else ["run.conf"])
 
 
 class TestUndecodableInput:

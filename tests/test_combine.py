@@ -26,12 +26,13 @@ from polyrep.combine import (
     matrix_specs,
     parse_topics,
     run_matrix,
+    topic_term_sets,
     write_report,
 )
 from polyrep.evidence import PositiveRule, consensus_evidence, recommendation_evidence
 from polyrep.opinions import EvidenceCounts, consensus, expectation, from_evidence, recommendation
 from polyrep.porter import porter_stem
-from polyrep.textprep import PrepLevel, tokenize
+from polyrep.textprep import PrepLevel, term_sets, tokenize
 
 TOL = 1e-9
 DATA = Path(__file__).parent / "data"
@@ -180,6 +181,22 @@ class TestSpecValidation:
         kind = type(value).__name__
         with pytest.raises(TypeError, match=f"^topic field {field} must be a str, got {kind}$"):
             make_topic(**{field: value})
+
+
+class TestTopicTermSets:
+    """The first stage of ``run_matrix``, which ``prep`` dumps."""
+
+    def test_each_topic_with_its_texts_term_sets(self, fixture_topics):
+        levels = [PrepLevel.STEM, PrepLevel.RAW]
+        assert list(topic_term_sets(fixture_topics, levels)) == [
+            (topic, {name: term_sets(getattr(topic, name), levels) for name in TOPIC_TEXTS})
+            for topic in fixture_topics
+        ]
+
+    def test_repeated_level_rejected_before_the_first_topic(self):
+        stage = topic_term_sets([], [PrepLevel.STOP, PrepLevel.RAW, PrepLevel.STOP])
+        with pytest.raises(ValueError, match="^preprocessing level III is given more than once$"):
+            next(stage)
 
 
 class TestRunMatrix:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import random
 import re
 from pathlib import Path
@@ -17,6 +18,7 @@ from polyrep.combine import (
     CombinationResult,
     CombinationSpec,
     FusionOperator,
+    load_topics,
 )
 from polyrep.ireval import (
     CORRELATION_COLUMNS,
@@ -310,6 +312,26 @@ def test_reading_stops_at_the_bad_line(kind, number, fault):
     with pytest.raises(ValueError, match=f"^line {number}: "):
         reader.parse(source)
     assert source.taken == number
+
+
+class TestPathLikeSources:
+    """Every reader takes any ``os.PathLike`` as a path, an ``os.DirEntry`` among them."""
+
+    @pytest.mark.parametrize("name, read", [
+        ("topics.jsonl", load_topics), ("run.txt", parse_run), ("qrels.txt", parse_qrels)],
+        ids=["load_topics", "parse_run", "parse_qrels"])
+    def test_dir_entry_reads_as_its_path(self, name, read):
+        with os.scandir(DATA) as entries:
+            entry = next(entry for entry in entries if entry.name == name)
+        assert read(entry) == read(str(DATA / name))
+
+    def test_error_names_the_path_not_the_entry(self, tmp_path):
+        (tmp_path / "run.txt").write_bytes(b"t1 Q0 d1 1 2.0 t\nt1 Q0 d\xff 2 1.0 t\n")
+        with os.scandir(tmp_path) as entries:
+            (entry,) = entries
+        with pytest.raises(RunParseError, match=(
+                f"^{re.escape(entry.path)}: line 2: byte 0xff is not valid UTF-8$")):
+            parse_run(entry)
 
 
 class TestAveragePrecision:

@@ -4,7 +4,9 @@
 the CLI nor running those two commands may load ``polyrep.ireval``; only
 ``evaluate`` and ``correlate`` do.  Both decimal readers (run scores and
 ``--alpha``) share ``polyrep.textprep._decimal``, and their messages are
-pinned here word for word through the command line.
+pinned here word for word through the command line.  The package reads its
+files through ``os`` and ``open`` alone, so on an interpreter started with
+``-S`` no command loads a resource loader, ``pathlib`` or what they import.
 """
 
 import os
@@ -19,21 +21,22 @@ RUN, QRELS = str(DATA / "run.txt"), str(DATA / "qrels.txt")
 ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
     filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
-# Prints, after each step, whether polyrep.ireval has been loaded.
+# Prints which of ``imported`` are loaded after the import, and which of
+# ``ran`` after each command.
 _CHILD = """
 import contextlib, io, sys
-loaded = lambda: "polyrep.ireval" in sys.modules
+loaded = lambda names: [name for name in names if name in sys.modules]
 import polyrep.cli
-print("import", loaded())
+print("import", loaded({imported!r}))
 for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         status = polyrep.cli.main(argv)
-    print(argv[0], status, loaded())
+    print(argv[0], status, loaded({ran!r}))
 """
 
 
-def _child(code: str) -> list[str]:
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+def _child(code: str, *flags: str) -> list[str]:
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                           env=ENV, check=True, timeout=120)
     assert proc.stderr == ""
     return proc.stdout.splitlines()
@@ -47,12 +50,29 @@ def _cli(*argv: str) -> subprocess.CompletedProcess:
 def test_prep_and_polyrep_never_load_ireval():
     commands = [["prep", "--topics", TOPICS], ["polyrep", "--topics", TOPICS],
                 ["evaluate", "--run", RUN, "--qrels", QRELS]]
-    assert _child(_CHILD.format(commands=commands)) == [
-        "import False",
-        "prep 0 False",
-        "polyrep 0 False",
-        "evaluate 0 True",  # the check does see the module once a command needs it
+    ireval = ["polyrep.ireval"]
+    assert _child(_CHILD.format(imported=ireval, ran=ireval, commands=commands)) == [
+        "import []",
+        "prep 0 []",
+        "polyrep 0 []",
+        "evaluate 0 ['polyrep.ireval']",  # the check does see the module once a command needs it
     ]
+
+
+def test_no_command_loads_a_resource_loader_or_pathlib(tmp_path):
+    # -S leaves out site, whose start-up hooks may import any of these before polyrep runs
+    modules = ["importlib.resources", "pathlib", "zipfile", "tempfile", "shutil"]
+    out = tmp_path / "out"
+    commands = [["prep", "--topics", TOPICS], ["polyrep", "--topics", TOPICS],
+                ["evaluate", "--run", RUN, "--qrels", QRELS],
+                ["correlate", "--topics", TOPICS, "--run", RUN, "--qrels", QRELS,
+                 "--out", str(out)]]
+    # argparse's help formatter imports shutil for the terminal width each time a parser
+    # gains an option, so every command loads it: shutil is checked after the import only
+    code = _CHILD.format(imported=modules, ran=modules[:-1], commands=commands)
+    assert _child(code, "-S") == [
+        "import []", "prep 0 []", "polyrep 0 []", "evaluate 0 []", "correlate 0 []"]
+    assert len(os.listdir(out)) == 1 + 72 * 2 * 6
 
 
 def test_alpha_message_is_pinned():
