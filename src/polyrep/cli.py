@@ -43,9 +43,8 @@ if TYPE_CHECKING:
 
 _SHOWN_IDS = 5  # ids or file names a diagnostic shows before eliding the rest
 
-
-class CliError(Exception):
-    """User-facing command failure; the message goes to stderr."""
+#: A ``prep`` row: the topic, the text's name, the level and the term set.
+PREP_COLUMNS = ("topic", "representation", "level", "terms")
 
 
 def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> list[str]:
@@ -74,10 +73,10 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
     if path is None:
         return []  # no --config, or the full parse reports its missing value
     try:
-        with reading(path, lambda where: CliError(f"config {where}")) as fh:
+        with reading(path, lambda where: ValueError(f"config {where}")) as fh:
             lines = list(fh)
     except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     args, seen = [], {}
     for number, line in enumerate(lines, start=1):
         line = line.strip()
@@ -85,7 +84,7 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise CliError(f"config line {number}: expected key=value")
+            raise ValueError(f"config line {number}: expected key=value")
         option = "--" + key.strip().replace("_", "-")
         if option == "--config":
             command.error(f"config line {number}: a config file cannot name another")
@@ -106,9 +105,9 @@ def _parse_alpha(text: str) -> float:
     try:
         alpha = _decimal(text)
     except ValueError as exc:
-        raise CliError(f"bad alpha {text!r}") from exc
+        raise ValueError(f"bad alpha {text!r}") from exc
     if not 0.0 <= alpha <= 1.0:
-        raise CliError(f"alpha must be in [0, 1], got {alpha}")
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     return alpha
 
 
@@ -165,16 +164,12 @@ def cmd_prep(args: argparse.Namespace) -> int:
             for representation, sets in by_text.items() for level in levels]
 
     def write_tsv(stream: IO[str]) -> None:
-        stream.write("topic\trepresentation\tlevel\tterms\n")
+        stream.write("\t".join(PREP_COLUMNS) + "\n")
         for tid, rep, level, terms in rows:
             stream.write(f"{tid}\t{rep}\t{level}\t{' '.join(terms)}\n")
 
-    _write(args, "termsets", lambda: {
-        "termsets": [
-            {"topic": tid, "representation": rep, "level": level, "terms": terms}
-            for tid, rep, level, terms in rows
-        ]
-    }, write_tsv)
+    _write(args, "termsets", lambda: {"termsets": [dict(zip(PREP_COLUMNS, row)) for row in rows]},
+           write_tsv)
     return 0
 
 
@@ -226,10 +221,7 @@ def _evaluate(args: argparse.Namespace) -> MetricReport:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .ireval import write_metric_report
     report = _evaluate(args)
-    _write(args, "metrics", lambda: {
-        "per_query": {qid: dict(report.per_query[qid]) for qid in sorted(report.per_query)},
-        "means": dict(report.means),
-    }, lambda stream: write_metric_report(report, stream))
+    _write(args, "metrics", report._asdict, lambda stream: write_metric_report(report, stream))
     return 0
 
 
@@ -347,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _config_args(commands.get(argv[0]) if argv else None, argv[1:])
         args = parser.parse_args(argv[:1] + config + argv[1:])
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"polyrep: error: {exc}", file=sys.stderr)
         return 1
 

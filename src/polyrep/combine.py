@@ -88,6 +88,11 @@ class Topic(NamedTuple("Topic", [(name, str) for name in TOPIC_FIELDS])):
         for name, value in zip(cls._fields, fields):
             if not isinstance(value, str):
                 raise TypeError(f"topic field {name} must be a str, got {type(value).__name__}")
+            if not value.isascii():  # JSON can spell a lone surrogate, which is not text
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"topic field {name} holds an unpaired surrogate") from None
         if id.split() != [id]:
             raise ValueError(f"topic id {id!r} must be one token without whitespace")
         if not keywords.strip():
@@ -260,48 +265,43 @@ def _fields_once(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return record
 
 
-def parse_topics(lines: Iterable[str]) -> list[Topic]:
-    """Parse line-delimited JSON topic records with exactly the six fields.
+def load_topics(source: Source) -> list[Topic]:
+    """Read line-delimited JSON topic records with exactly the six fields.
 
+    ``source`` is a path (``str`` or ``os.PathLike``) or the lines themselves.
     A field given twice in a record is rejected.  Topic ids must be unique;
     a repeated id is rejected with both line numbers.
     """
     topics = []
     first_line: dict[str, int] = {}
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line, object_pairs_hook=_fields_once)
-        except json.JSONDecodeError as exc:
-            raise TopicParseError(f"line {number}: invalid JSON ({exc.msg})") from exc
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-            raise TopicParseError(f"line {number}: {exc}") from exc
-        if not isinstance(record, dict):
-            raise TopicParseError(f"line {number}: expected an object")
-        unknown = sorted(set(record) - set(TOPIC_FIELDS))
-        if unknown:
-            raise TopicParseError(f"line {number}: unknown fields {unknown}")
-        missing = sorted(set(TOPIC_FIELDS) - set(record))
-        if missing:
-            raise TopicParseError(f"line {number}: missing fields {missing}")
-        try:
-            topic = Topic(**record)
-        except (TypeError, ValueError) as exc:
-            raise TopicParseError(f"line {number}: {exc}") from exc
-        if topic.id in first_line:
-            raise TopicParseError(
-                f"line {number}: duplicate topic id {topic.id!r} (first on line "
-                f"{first_line[topic.id]})"
-            )
-        first_line[topic.id] = number
-        topics.append(topic)
+    with reading(source, TopicParseError) as lines:
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line, object_pairs_hook=_fields_once)
+            except json.JSONDecodeError as exc:
+                raise TopicParseError(f"line {number}: invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+                raise TopicParseError(f"line {number}: {exc}") from exc
+            if not isinstance(record, dict):
+                raise TopicParseError(f"line {number}: expected an object")
+            unknown = sorted(set(record) - set(TOPIC_FIELDS))
+            if unknown:
+                raise TopicParseError(f"line {number}: unknown fields {unknown}")
+            missing = sorted(set(TOPIC_FIELDS) - set(record))
+            if missing:
+                raise TopicParseError(f"line {number}: missing fields {missing}")
+            try:
+                topic = Topic(**record)
+            except (TypeError, ValueError) as exc:
+                raise TopicParseError(f"line {number}: {exc}") from exc
+            if topic.id in first_line:
+                raise TopicParseError(f"line {number}: duplicate topic id {topic.id!r} (first on "
+                                      f"line {first_line[topic.id]})")
+            first_line[topic.id] = number
+            topics.append(topic)
     return topics
-
-
-def load_topics(path: Source) -> list[Topic]:
-    with reading(path, TopicParseError) as lines:
-        return parse_topics(lines)
 
 
 REPORT_HEADER = ("level", "operator", "rep_a", "rep_b", "order", "probability")

@@ -45,6 +45,9 @@ _GRADE_OF = {str(grade): grade for grade in GRADES}  # only these exact spelling
 
 METRICS = ("map", "ndcg", "bpref", "p10", "ndcg10", "mrr")
 
+#: The query id of the metric report's mean rows, so no run or judgment may use it.
+SUMMARY_ID = "all"
+
 #: A correlation row: the seven fields naming its cell, then the correlation.
 CORRELATION_COLUMNS = REPORT_HEADER[:5] + ("component", "metric", "rho")
 
@@ -113,6 +116,8 @@ def parse_run(source: Source) -> RunList:
             if not math.isfinite(score):
                 raise RunParseError(f"line {number}: non-finite score {score_text!r}")
             if qid != last:  # a query's lines usually come together: look it up once per block
+                if qid == SUMMARY_ID:
+                    raise RunParseError(f"line {number}: query id {qid!r} names the summary rows")
                 last, per_query = qid, scored.setdefault(qid, {})
             if docid in per_query:
                 raise RunParseError(f"line {number}: duplicate document {docid!r} for query {qid!r}")
@@ -144,6 +149,8 @@ def parse_qrels(source: Source) -> Qrels:
                 raise QrelsParseError(
                     f"line {number}: grade must be one of {GRADES}, got {grade_text!r}")
             if qid != last:
+                if qid == SUMMARY_ID:
+                    raise QrelsParseError(f"line {number}: query id {qid!r} names the summary rows")
                 last, per_query = qid, grades.setdefault(qid, {})
             if docid in per_query:
                 raise QrelsParseError(f"line {number}: duplicate judgment for {qid!r}/{docid!r}")
@@ -372,12 +379,12 @@ def correlate_components(
 
 
 def write_metric_report(report: MetricReport, stream: IO[str]) -> None:
-    """TSV rows ``qid metric value`` plus ``all metric value`` summaries."""
+    """TSV rows ``qid metric value``, then the means as rows of query id :data:`SUMMARY_ID`."""
     for qid in sorted(report.per_query):
         for metric in METRICS:
             stream.write(f"{qid}\t{metric}\t{report.per_query[qid][metric]:.4f}\n")
     for metric in METRICS:
-        stream.write(f"all\t{metric}\t{report.means[metric]:.4f}\n")
+        stream.write(f"{SUMMARY_ID}\t{metric}\t{report.means[metric]:.4f}\n")
 
 
 def plot_column(values: Iterable[float]) -> list[str]:

@@ -92,6 +92,17 @@ class TestPrep:
         assert out.err.startswith("polyrep: error: line 2: ")
         assert out.err.count("\n") == 1 and out.err.endswith("\n")
 
+    def test_unpaired_surrogate_exits_nonzero_and_writes_nothing(self, tmp_path, capsys):
+        topics = tmp_path / "topics.jsonl"
+        topics.write_text(TOPIC_TEMPLATE.format(qid="u1", need="a\\ud800", background="b",
+                                                task="w", ideal="i", keywords="k") + "\n",
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["prep", "--topics", str(topics), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "polyrep: error: line 1: topic field information_need holds an unpaired surrogate\n")
+        assert not out.exists()
+
     def test_bad_record_exits_nonzero_with_line_number(self, tmp_path, capsys):
         bad = tmp_path / "topics.jsonl"
         bad.write_text('{"id": "x"}\n')

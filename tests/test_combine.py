@@ -24,7 +24,6 @@ from polyrep.combine import (
     combine_topic,
     load_topics,
     matrix_specs,
-    parse_topics,
     run_matrix,
     topic_term_sets,
     write_report,
@@ -454,11 +453,11 @@ class TestTopicParsing:
             '"work_task": "c", "ideal_answer": "d", "keywords": "e", "extra": "f"}'
         )
         with pytest.raises(TopicParseError, match="line 1.*extra"):
-            parse_topics([line])
+            load_topics([line])
 
     def test_missing_field_rejected(self):
         with pytest.raises(TopicParseError, match="missing"):
-            parse_topics(['{"id": "x", "keywords": "k"}'])
+            load_topics(['{"id": "x", "keywords": "k"}'])
 
     def test_non_string_field_rejected(self):
         line = (
@@ -467,7 +466,7 @@ class TestTopicParsing:
         )
         with pytest.raises(TopicParseError,
                            match="^line 1: topic field information_need must be a str, got int$"):
-            parse_topics([line])
+            load_topics([line])
 
     def test_deeply_nested_json_names_the_line(self):
         # json.loads raises RecursionError here, neither a JSONDecodeError nor a ValueError
@@ -476,7 +475,7 @@ class TestTopicParsing:
             '"work_task": "c", "ideal_answer": "d", "keywords": "e"}'
         )
         with pytest.raises(TopicParseError, match="^line 2: maximum recursion depth exceeded"):
-            parse_topics([good, "[" * 100_000])
+            load_topics([good, "[" * 100_000])
 
     @pytest.mark.parametrize("field", ["keywords", "id", "background"])
     def test_repeated_field_rejected_naming_it(self, field):
@@ -486,19 +485,19 @@ class TestTopicParsing:
         repeated = json.dumps(fields)[:-1] + f', "{field}": "t1"}}'
         lines = [json.dumps(dict(fields, id="t1")), repeated]
         with pytest.raises(TopicParseError, match=f"^line 2: field '{field}' is given more than once$"):
-            parse_topics(lines)
+            load_topics(lines)
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python has no integer string limit")
     def test_number_past_the_int_limit_names_the_line(self):
         # json.loads raises a plain ValueError here, not a JSONDecodeError
         with pytest.raises(TopicParseError, match="^line 1: Exceeds the limit"):
-            parse_topics(['{"id": ' + "1" * 5000 + "}"])
+            load_topics(['{"id": ' + "1" * 5000 + "}"])
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "3", "null"])
     def test_non_object_line_rejected(self, line):
         with pytest.raises(TopicParseError, match="^line 1: expected an object$"):
-            parse_topics([line])
+            load_topics([line])
 
     def test_bad_json_reports_line_number(self):
         good = (
@@ -506,14 +505,14 @@ class TestTopicParsing:
             '"work_task": "c", "ideal_answer": "d", "keywords": "e"}'
         )
         with pytest.raises(TopicParseError, match="line 2"):
-            parse_topics([good, "{broken"])
+            load_topics([good, "{broken"])
 
     def test_blank_lines_are_skipped(self):
         good = (
             '{"id": "x", "information_need": "a", "background": "b", '
             '"work_task": "c", "ideal_answer": "d", "keywords": "e"}'
         )
-        assert len(parse_topics(["", good, "   "])) == 1
+        assert len(load_topics(["", good, "   "])) == 1
 
     def test_duplicate_id_reports_both_lines(self):
         record = (
@@ -522,7 +521,21 @@ class TestTopicParsing:
         )
         lines = [record.format(qid="t1"), "", record.format(qid="t2"), record.format(qid="t1")]
         with pytest.raises(TopicParseError, match=r"line 4: duplicate topic id 't1' .*line 1"):
-            parse_topics(lines)
+            load_topics(lines)
+
+    def test_unpaired_surrogate_rejected_naming_the_field(self):
+        fields = dict(id="t1", information_need="a", background="b", work_task="c",
+                      ideal_answer="d", keywords="e")
+        # json.loads turns the escape into a lone surrogate, which UTF-8 cannot encode
+        lone = json.dumps(fields).replace('"a"', '"a\\ud800"')
+        with pytest.raises(TopicParseError, match=(
+                "^line 1: topic field information_need holds an unpaired surrogate$")):
+            load_topics([lone])
+        with pytest.raises(ValueError, match="^topic field keywords holds an unpaired surrogate$"):
+            Topic(**dict(fields, keywords="e\udfff"))
+        # an escaped pair decodes to one character and is text
+        paired = json.dumps(fields).replace('"a"', '"a\\ud83d\\ude00"')
+        assert load_topics([paired])[0].information_need == "a\U0001f600"
 
     @pytest.mark.parametrize("topic_id", ["", " ", "t\t1", "t 1", " t1", "t1\n", "t\u20281"])
     def test_id_with_whitespace_rejected_naming_the_line(self, topic_id):
@@ -532,8 +545,8 @@ class TestTopicParsing:
         )
         lines = [record.format(qid='"t0"'), record.format(qid=json.dumps(topic_id))]
         with pytest.raises(TopicParseError, match=r"^line 2: topic id .* must be one token"):
-            parse_topics(lines)
-        assert [topic.id for topic in parse_topics(lines[:1])] == ["t0"]
+            load_topics(lines)
+        assert [topic.id for topic in load_topics(lines[:1])] == ["t0"]
 
 
 class TestReport:

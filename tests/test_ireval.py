@@ -135,6 +135,15 @@ class TestParseRun:
         assert str(excinfo.value) == "line 4: duplicate document 'a' for query 'q1'"
 
 
+    @pytest.mark.parametrize("first", ["all", "q1"])
+    def test_summary_query_id_rejected(self, first):
+        lines = [f"{first} Q0 d1 1 2.0 t", "all Q0 d2 2 1.0 t"]
+        line = 1 if first == "all" else 2
+        with pytest.raises(RunParseError) as excinfo:
+            parse_run(lines)
+        assert str(excinfo.value) == f"line {line}: query id 'all' names the summary rows"
+
+
 class TestParseQrels:
     def test_empty_source(self):
         assert parse_qrels([]).grades == {}
@@ -169,6 +178,14 @@ class TestParseQrels:
         with pytest.raises(QrelsParseError) as excinfo:
             parse_qrels(lines)
         assert str(excinfo.value) == "line 4: duplicate judgment for 'q1'/'a'"
+
+    @pytest.mark.parametrize("first", ["all", "q1"])
+    def test_summary_query_id_rejected(self, first):
+        lines = [f"{first} 0 d1 1", "all 0 d2 0"]
+        line = 1 if first == "all" else 2
+        with pytest.raises(QrelsParseError) as excinfo:
+            parse_qrels(lines)
+        assert str(excinfo.value) == f"line {line}: query id 'all' names the summary rows"
 
 
 # Whitespace that str.split() separates at but reading a file does not end a line at.

@@ -2,9 +2,10 @@
 
 ``polyrep --format obj`` carries every per-topic opinion at full
 precision, ``prep --format obj`` every term set, ``evaluate`` writes the
-six measures per query, and ``correlate`` writes a correlation table (TSV,
-or ``correlations.json`` with ``--format obj``) plus 864 plot files; all
-of them run on the bundled fixture.  The plot files are pinned by one
+six measures per query (TSV, or JSON with ``--format obj``), and
+``correlate`` writes a correlation table (TSV, or ``correlations.json``
+with ``--format obj``) plus 864 plot files; all of them run on the
+bundled fixture.  The plot files are pinned by one
 digest over ``name NUL bytes NUL`` for each file in name order.  The
 expected digests live in ``data/output_digests.json``; ``python
 tests/test_output_digests.py`` prints the digests of the code it imports,
@@ -35,6 +36,7 @@ STDOUT_REPORTS = {
     ],
     "prep_obj": ["prep", "--topics", TOPICS, "--format", "obj"],
     "evaluate_tsv": ["evaluate", "--run", RUN, "--qrels", QRELS],
+    "evaluate_obj": ["evaluate", "--run", RUN, "--qrels", QRELS, "--format", "obj"],
 }
 
 CORRELATE = ["correlate", "--topics", TOPICS, "--run", RUN, "--qrels", QRELS]

@@ -13,7 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrep.combine import TOPIC_FIELDS, Topic, load_topics, parse_topics
+from polyrep.combine import TOPIC_FIELDS, Topic, load_topics
 from polyrep.ireval import GRADES, parse_qrels, parse_run
 
 # text that one whitespace split keeps as a single field
@@ -128,5 +128,4 @@ def test_topic_round_trip(case):
     records, lines = case
     expected = [Topic(**record) for record in records]
     for source in sources(lines):
-        parsed = load_topics(source) if isinstance(source, Path) else parse_topics(source)
-        assert parsed == expected
+        assert load_topics(source) == expected

@@ -6,7 +6,8 @@ the CLI nor running those two commands may load ``polyrep.ireval``; only
 ``--alpha``) share ``polyrep.textprep._decimal``, and their messages are
 pinned here word for word through the command line.  The package reads its
 files through ``os`` and ``open`` alone, so on an interpreter started with
-``-S`` no command loads a resource loader, ``pathlib`` or what they import.
+``-S`` no command loads a resource loader, ``pathlib`` or what they import,
+and none opens a file without naming its encoding.
 """
 
 import os
@@ -62,16 +63,20 @@ def test_prep_and_polyrep_never_load_ireval():
 def test_no_command_loads_a_resource_loader_or_pathlib(tmp_path):
     # -S leaves out site, whose start-up hooks may import any of these before polyrep runs
     modules = ["importlib.resources", "pathlib", "zipfile", "tempfile", "shutil"]
-    out = tmp_path / "out"
+    out, config = tmp_path / "out", tmp_path / "run.conf"
+    config.write_text("alpha=0.3\n", encoding="utf-8")
     commands = [["prep", "--topics", TOPICS], ["polyrep", "--topics", TOPICS],
                 ["evaluate", "--run", RUN, "--qrels", QRELS],
                 ["correlate", "--topics", TOPICS, "--run", RUN, "--qrels", QRELS,
-                 "--out", str(out)]]
+                 "--out", str(out)],
+                ["polyrep", "--topics", TOPICS, "--config", str(config)]]
     # argparse's help formatter imports shutil for the terminal width each time a parser
     # gains an option, so every command loads it: shutil is checked after the import only
     code = _CHILD.format(imported=modules, ran=modules[:-1], commands=commands)
-    assert _child(code, "-S") == [
-        "import []", "prep 0 []", "polyrep 0 []", "evaluate 0 []", "correlate 0 []"]
+    # and an open() that leaves the encoding to the locale fails the child
+    assert _child(code, "-S", "-X", "warn_default_encoding", "-W", "error::EncodingWarning") == [
+        "import []", "prep 0 []", "polyrep 0 []", "evaluate 0 []", "correlate 0 []",
+        "polyrep 0 []"]
     assert len(os.listdir(out)) == 1 + 72 * 2 * 6
 
 
