@@ -54,7 +54,8 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
     ``argv`` (as ``--opt v`` or ``--opt=v``, up to ``--``), and each config
     key is checked against the subcommand's option strings, all before the
     full parse, so a bad or repeated option is named even when a required
-    option is missing.
+    option is missing.  ``--config``'s value is read as argparse reads it, so
+    in ``--config --topics T`` it is missing, and the full parse says so.
     """
     if command is None:
         return []  # the full parse reports the missing or unknown subcommand
@@ -68,8 +69,11 @@ def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> li
             command.error(f"{option} is given more than once")
         if option in options:
             given.add(option)
-        if option == "--config":
-            path = value if sep else following
+        if option == "--config" and sep:
+            path = value
+        elif option == "--config" and following is not None:
+            # argparse's own rule: "-", "-5" or "-a b" is a value, "--topics" or "--" is not
+            path = following if command._parse_optional(following) is None else None
     if path is None:
         return []  # no --config, or the full parse reports its missing value
     try:
@@ -213,6 +217,8 @@ def _evaluate(args: argparse.Namespace) -> MetricReport:
           sorted(set(run.rankings) - set(qrels.grades)))
     _warn("judged queries absent from the run, scored zero",
           sorted(set(qrels.grades) - set(run.rankings)))
+    _warn("judged queries without a relevant document, scored zero",
+          sorted(qid for qid, judged in qrels.grades.items() if not any(judged.values())))
     _warn(f"documents past depth {EVALUATION_DEPTH}, not scored", sorted(run.cut),
           sum(run.cut.values()))
     return report

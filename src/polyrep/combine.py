@@ -205,11 +205,11 @@ def run_matrix(
 
     Results come in matrix order: levels as given, consensus pairs then
     recommendation pairs.  Each topic's term sets come from
-    :func:`topic_term_sets` and are dropped before the next topic.  Per
-    level, the cells fall into evidence groups: a consensus cell alone, or a
-    pair's AB and BA cells.  Per topic a group gets one evidence and one
-    opinion pair, and it keeps one pooled sum; each distinct evidence count
-    becomes an opinion once per call.  ``positive_rule``
+    :func:`topic_term_sets` and are dropped before the next topic.  The
+    cells fall into evidence groups, in matrix order: a consensus cell
+    alone, or a pair's AB and BA cells.  Per topic a group gets one
+    evidence and one opinion pair, and it keeps one pooled sum; each
+    distinct evidence count becomes an opinion once per call.  ``positive_rule``
     and ``mode`` are enum members or their values; anything else raises ValueError,
     as do no ``levels`` and a level given twice.
     """
@@ -219,39 +219,36 @@ def run_matrix(
         raise EmptyTopicListError("at least one topic is required")
     if not levels:
         raise ValueError("at least one preprocessing level is required")
-    # Per level, one (cells, pooled sums) pair per evidence group, each cell a
-    # (spec, per-topic entries) pair; the sums are positive/negative for a, then b.
-    table = [
-        [([(spec, []) for spec in cells], [0, 0, 0, 0])
-         for _, cells in groupby(matrix_specs(level),
-                                 key=lambda spec: (spec.rep_a, spec.rep_b, spec.operator))]
-        for level in levels
-    ]
+    # One (cells, pooled sums) pair per evidence group, each cell a (spec, per-topic
+    # entries) pair; the sums are positive/negative for a, then b.
+    groups = [([(spec, []) for spec in cells], [0, 0, 0, 0])
+              for level in levels
+              for _, cells in groupby(matrix_specs(level),
+                                      key=lambda spec: (spec.rep_a, spec.rep_b, spec.operator))]
     opinion = cache(lambda counts: from_evidence(counts, alpha))
     for topic, by_text in topic_term_sets(topics, levels):
-        for level, groups in zip(levels, table):
-            sets = {name: level_sets[level] for name, level_sets in by_text.items()}
-            for cells, sums in groups:
-                pair = _evidence(sets, cells[0][0], positive_rule)  # cells share pair, operator
-                opinion_a, opinion_b = opinion(pair.for_a), opinion(pair.for_b)
-                for spec, entries in cells:
-                    fused = _fuse(opinion_a, opinion_b, spec)
-                    entries.append((topic.id, fused, expectation(fused)))
-                sums[0] += pair.for_a.positive
-                sums[1] += pair.for_a.negative
-                sums[2] += pair.for_b.positive
-                sums[3] += pair.for_b.negative
-    results = []
-    for groups in table:
-        for cells, (pos_a, neg_a, pos_b, neg_b) in groups:
+        sets = {level: {name: level_sets[level] for name, level_sets in by_text.items()}
+                for level in levels}
+        for cells, sums in groups:  # a group's cells share level, pair and operator
+            pair = _evidence(sets[cells[0][0].level], cells[0][0], positive_rule)
+            opinion_a, opinion_b = opinion(pair.for_a), opinion(pair.for_b)
             for spec, entries in cells:
-                if mode is AggregationMode.MACRO:
-                    # left to right: sum() adds floats with compensation since Python 3.12
-                    aggregate = reduce(add, (entry[2] for entry in entries), 0.0) / len(entries)
-                else:
-                    aggregate = expectation(_fuse(opinion(EvidenceCounts(pos_a, neg_a)),
-                                                  opinion(EvidenceCounts(pos_b, neg_b)), spec))
-                results.append(CombinationResult(spec, tuple(entries), aggregate))
+                fused = _fuse(opinion_a, opinion_b, spec)
+                entries.append((topic.id, fused, expectation(fused)))
+            sums[0] += pair.for_a.positive
+            sums[1] += pair.for_a.negative
+            sums[2] += pair.for_b.positive
+            sums[3] += pair.for_b.negative
+    results = []
+    for cells, (pos_a, neg_a, pos_b, neg_b) in groups:
+        for spec, entries in cells:
+            if mode is AggregationMode.MACRO:
+                # left to right: sum() adds floats with compensation since Python 3.12
+                aggregate = reduce(add, (entry[2] for entry in entries), 0.0) / len(entries)
+            else:
+                aggregate = expectation(_fuse(opinion(EvidenceCounts(pos_a, neg_a)),
+                                              opinion(EvidenceCounts(pos_b, neg_b)), spec))
+            results.append(CombinationResult(spec, tuple(entries), aggregate))
     return results
 
 

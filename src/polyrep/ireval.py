@@ -212,11 +212,6 @@ def evaluate_query(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:
     }
 
 
-def average_precision(run: RunList, qrels: Qrels, qid: str) -> float:
-    """Mean precision at the ranks of retrieved relevant documents: ``evaluate_query``'s map."""
-    return evaluate_query(run, qrels, qid)["map"]
-
-
 def ndcg_at(run: RunList, qrels: Qrels, qid: str, k: int) -> float:
     """Discounted cumulative gain in the top k (k >= 1), normalised by the ideal ordering."""
     if type(k) is not int:
@@ -224,11 +219,6 @@ def ndcg_at(run: RunList, qrels: Qrels, qid: str, k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     return _ndcg(*_grades(run, qrels, qid), k)
-
-
-def bpref(run: RunList, qrels: Qrels, qid: str) -> float:
-    """Binary preference over judged documents only: ``evaluate_query``'s bpref."""
-    return evaluate_query(run, qrels, qid)["bpref"]
 
 
 class MetricReport(NamedTuple):

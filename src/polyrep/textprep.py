@@ -45,10 +45,13 @@ class PrepLevel(enum.Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "PrepLevel":
-        """Accept a roman-numeral label ("II") or a member name ("CASE_PUNCT")."""
-        code = code.strip()
+        """Accept a roman-numeral label ("II") or a member name ("CASE_PUNCT"), in ASCII only.
+
+        ``str.upper`` maps some other letters to ASCII ones (``"ſtem"`` to ``"STEM"``).
+        """
+        ascii_only, code = code.isascii(), code.strip()
         for level in cls:
-            if code == level.value or code.upper() == level.name:
+            if ascii_only and (code == level.value or code.upper() == level.name):
                 return level
         raise ValueError(f"unknown preprocessing level {code!r}")
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, flags, config files, error handling."""
 
+import contextlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from polyrep import ireval
+from polyrep import cli, ireval
 from polyrep.cli import build_parser, main
 from polyrep.combine import AggregationMode, FusionOperator
 from polyrep.evidence import PositiveRule
@@ -297,6 +298,22 @@ class TestPolyrep:
         out = capsys.readouterr()
         assert out.out == ""
         assert "unknown preprocessing level ''" in out.err
+
+    # str.upper() maps these to STEM, STOP and STOP
+    @pytest.mark.parametrize("code", ["\u017ftem", "\ufb06op", "\u017ftop"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_level_code_must_be_ascii(self, via, code, tmp_path, capsys):
+        argv = ["prep", "--topics", str(DATA / "topics.jsonl")]
+        if via == "flag":
+            argv += ["--prep", code]
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text(f"prep={code}\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"polyrep: error: unknown preprocessing level {code!r}\n"
 
 
 class TestEvaluate:
@@ -678,6 +695,30 @@ class TestAbsentJudgedQueries:
         assert all(value == "0.0000" for qid, _, value in rows if qid in absent)
 
 
+class TestJudgedQueriesWithoutRelevant:
+    WARNING = ("polyrep: warning: judged queries without a relevant document, "
+               "scored zero: 1 (q2)")
+
+    @pytest.mark.parametrize("command", ["evaluate", "correlate"])
+    def test_are_counted_and_the_report_is_unchanged(self, command, tmp_path, capsys):
+        topics, run, qrels = write_concordant_fixture(tmp_path)
+        reports = {}
+        # q2 retrieves no relevant document either way, so it scores zero in both reports
+        for name, judgments in (("plain", "q2 0 e1 0\nq2 0 e2 0\nq2 0 e9 1\n"),
+                                ("warned", "q2 0 e1 0\nq2 0 e2 0\n")):
+            qrels.write_text("q1 0 d1 1\nq1 0 d2 1\n" + judgments)
+            out = tmp_path / name
+            argv = [command, "--run", str(run), "--qrels", str(qrels), "--out", str(out)]
+            if command == "correlate":
+                argv += ["--topics", str(topics)]
+            assert main(argv) == 0
+            reports[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+            reports[name + " stderr"] = capsys.readouterr().err
+        assert reports["warned"] == reports["plain"]
+        assert reports["plain stderr"] == ""
+        assert reports["warned stderr"].splitlines() == [self.WARNING]
+
+
 class TestCutDocuments:
     @pytest.fixture
     def deep_run(self, tmp_path):
@@ -805,6 +846,46 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "unrecognized arguments: -- --alpha 0.1" in err
         assert "more than once" not in err
+
+    @pytest.mark.parametrize("after", [["--topics", str(DATA / "topics.jsonl")],
+                                       ["--", "--topics", str(DATA / "topics.jsonl")]],
+                             ids=["option", "double-dash"])
+    def test_an_option_after_config_is_its_missing_value(self, after, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["polyrep", "--config", *after])
+        assert exited.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "argument --config: expected one argument" in out.err
+
+    @pytest.mark.parametrize("flags, stored", [
+        (["--config=a.conf"], "a.conf"),
+        (["--config", "a.conf"], "a.conf"),
+        (["--config", "-"], "-"),
+        (["--config", "-5"], "-5"),
+        (["--config", "- a"], "- a"),  # argparse reads an argument holding a space as a value
+        (["--config", "--prep", "II"], None),
+        (["--config", "--", "a.conf"], None),
+        (["--prep", "II", "--config"], None),
+    ], ids=["equals", "separate", "dash", "negative", "space", "option", "double-dash", "last"])
+    def test_config_path_is_the_value_argparse_stores(self, flags, stored, monkeypatch, capsys):
+        read = []
+
+        @contextlib.contextmanager
+        def recording(source, error):
+            read.append(source)
+            yield []
+
+        monkeypatch.setattr(cli, "reading", recording)
+        argv = ["--topics", str(DATA / "topics.jsonl"), *flags]
+        parser, commands = build_parser()
+        assert cli._config_args(commands["polyrep"], argv) == []
+        try:
+            config = parser.parse_args(["polyrep", *argv]).config
+        except SystemExit:
+            config = None
+        assert config == stored
+        assert read == ([] if config is None else [config])
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.conf"

@@ -34,8 +34,6 @@ from polyrep.ireval import (
     TopicAlignmentError,
     ZeroVarianceError,
     _average_ranks_doubled,
-    average_precision,
-    bpref,
     correlate_components,
     correlation_table,
     evaluate_query,
@@ -355,21 +353,21 @@ class TestAveragePrecision:
     def test_hand_computation(self):
         run = run_of("q", ["d3", "d1", "d2"])
         qrels = qrels_of("q", {"d1": 3, "d2": 1, "d3": 0})
-        assert average_precision(run, qrels, "q") == pytest.approx(7 / 12, abs=TOL)
+        assert evaluate_query(run, qrels, "q")["map"] == pytest.approx(7 / 12, abs=TOL)
 
     def test_perfect_ranking(self):
         run = run_of("q", ["d1", "d2", "d3"])
         qrels = qrels_of("q", {"d1": 3, "d2": 1, "d3": 0})
-        assert average_precision(run, qrels, "q") == 1.0
+        assert evaluate_query(run, qrels, "q")["map"] == 1.0
 
     def test_nothing_relevant_retrieved(self):
         run = run_of("q", ["d3"])
         qrels = qrels_of("q", {"d1": 3, "d3": 0})
-        assert average_precision(run, qrels, "q") == 0.0
+        assert evaluate_query(run, qrels, "q")["map"] == 0.0
 
     def test_query_without_relevant_docs_scores_zero(self):
         run = run_of("q", ["d1"])
-        assert average_precision(run, qrels_of("q", {"d1": 0}), "q") == 0.0
+        assert evaluate_query(run, qrels_of("q", {"d1": 0}), "q")["map"] == 0.0
 
 
 class TestNdcg:
@@ -455,28 +453,29 @@ class TestBpref:
     def test_hand_computation(self):
         run = run_of("q", ["d3", "d1", "d2"])
         qrels = qrels_of("q", {"d1": 1, "d2": 1, "d3": 0, "d4": 0})
-        assert bpref(run, qrels, "q") == pytest.approx(0.5, abs=TOL)
+        assert evaluate_query(run, qrels, "q")["bpref"] == pytest.approx(0.5, abs=TOL)
 
     def test_no_nonrelevant_above_any_relevant(self):
         run = run_of("q", ["d1", "d2", "d3"])
         qrels = qrels_of("q", {"d1": 1, "d2": 1, "d3": 0})
-        assert bpref(run, qrels, "q") == 1.0
+        assert evaluate_query(run, qrels, "q")["bpref"] == 1.0
 
     def test_relevant_never_retrieved(self):
         run = run_of("q", ["d3"])
         qrels = qrels_of("q", {"d1": 1, "d3": 0})
-        assert bpref(run, qrels, "q") == 0.0
+        assert evaluate_query(run, qrels, "q")["bpref"] == 0.0
 
     def test_without_judged_nonrelevant_each_hit_counts_fully(self):
         run = run_of("q", ["x", "d1", "d2"])  # x unjudged, invisible to bpref
         qrels = qrels_of("q", {"d1": 1, "d2": 2})
-        assert bpref(run, qrels, "q") == 1.0
+        assert evaluate_query(run, qrels, "q")["bpref"] == 1.0
 
     def test_unjudged_documents_are_skipped(self):
         with_unjudged = run_of("q", ["u1", "d3", "u2", "d1"])
         without = run_of("q", ["d3", "d1"])
         qrels = qrels_of("q", {"d1": 1, "d3": 0})
-        assert bpref(with_unjudged, qrels, "q") == bpref(without, qrels, "q")
+        assert (evaluate_query(with_unjudged, qrels, "q")["bpref"]
+                == evaluate_query(without, qrels, "q")["bpref"])
 
 
 class TestEvaluateRun:
@@ -544,7 +543,7 @@ class TestOracleEquivalence:
             ranked, judgments = random_instance(rng)
             run = run_of("q", ranked)
             qrels = Qrels({"q": judgments})
-            assert average_precision(run, qrels, "q") == pytest.approx(
+            assert evaluate_query(run, qrels, "q")["map"] == pytest.approx(
                 oracles.ap_naive(ranked, judgments), abs=TOL
             )
             for k in (3, 10, 1000):
@@ -557,7 +556,7 @@ class TestOracleEquivalence:
             assert evaluate_query(run, qrels, "q")["mrr"] == pytest.approx(
                 oracles.rr_naive(ranked, judgments), abs=TOL
             )
-            assert bpref(run, qrels, "q") == pytest.approx(
+            assert evaluate_query(run, qrels, "q")["bpref"] == pytest.approx(
                 oracles.bpref_naive(ranked, judgments), abs=TOL
             )
             checked += 1
@@ -617,9 +616,7 @@ class TestBeyondFiveDocuments:
             assert ndcg_at(run, qrels, "q", k) == pytest.approx(
                 oracles.ndcg_naive(ranked, judgments, k), abs=TOL
             )
-        assert average_precision(run, qrels, "q") == got["map"]
         assert ndcg_at(run, qrels, "q", 1000) == got["ndcg"]
-        assert bpref(run, qrels, "q") == got["bpref"]
         assert ndcg_at(run, qrels, "q", 10) == got["ndcg10"]
 
 

@@ -1,5 +1,6 @@
-"""The README's code runs and the functions it cites exist where it says."""
+"""The README's code runs, the names it cites exist where it says, and it quotes each warning."""
 
+import ast
 import importlib
 import os
 import re
@@ -12,6 +13,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 CITED = sorted(set(re.findall(r"`polyrep\.(\w+)\.(\w+)`", README)))
+
+
+def _warning_texts():
+    """The message of every ``_warn(...)`` call in cli.py, ``{EVALUATION_DEPTH}`` read as 1000."""
+    tree = ast.parse((ROOT / "src" / "polyrep" / "cli.py").read_text(encoding="utf-8"))
+    texts = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_warn":
+            message = node.args[0]
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            texts.append("".join(part.value if isinstance(part, ast.Constant)
+                                 else {"EVALUATION_DEPTH": "1000"}[part.value.id]
+                                 for part in parts))
+    return texts
+
+
+WARNINGS = _warning_texts()
 
 
 def test_quick_start_runs(tmp_path):
@@ -32,3 +50,12 @@ def test_readme_cites_dotted_names():
 @pytest.mark.parametrize("module, name", CITED, ids=lambda part: part)
 def test_cited_name_resolves(module, name):
     assert hasattr(importlib.import_module(f"polyrep.{module}"), name)
+
+
+def test_every_warning_is_found():
+    assert len(WARNINGS) >= 6
+
+
+@pytest.mark.parametrize("text", WARNINGS)
+def test_readme_quotes_each_warning(text):
+    assert text in " ".join(README.split())

@@ -66,6 +66,7 @@ class TestLevels:
         assert PrepLevel.from_code("I") is PrepLevel.RAW
         assert PrepLevel.from_code("IV") is PrepLevel.STEM
         assert PrepLevel.from_code("case_punct") is PrepLevel.CASE_PUNCT
+        assert PrepLevel.from_code(" II") is PrepLevel.CASE_PUNCT
         with pytest.raises(ValueError):
             PrepLevel.from_code("V")
 
