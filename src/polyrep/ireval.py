@@ -2,8 +2,10 @@
 
 Runs use the standard six-column interchange format (``qid Q0 docid rank
 score tag``); ranks are recomputed from the scores so the rank column in
-the file is never trusted.  Judgments (``qid 0 docid grade``) carry grades
-0-3 read as gains 0/1/2/3; binary metrics treat grade > 0 as relevant.
+the file is never trusted.  Scores are read only to order each query's
+documents, and a ranking keeps their doc ids alone.  Judgments (``qid 0
+docid grade``) carry grades 0-3 read as gains 0/1/2/3; binary metrics
+treat grade > 0 as relevant.
 Each file is read in one pass, one line at a time.
 
 Six effectiveness measures are computed per query, all in one walk of its
@@ -30,7 +32,7 @@ import enum
 import math
 from functools import reduce
 from itertools import groupby
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, itemgetter, mul, neg
 from types import MappingProxyType
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
@@ -86,13 +88,14 @@ class Qrels(NamedTuple):
 
 
 class RunList(NamedTuple):
-    """Per query, documents ordered by descending score (doc id breaks ties).
+    """Per query, its doc ids in rank order: descending score, doc id breaking ties.
 
-    ``cut`` counts, for each query that retrieved more than
-    :data:`EVALUATION_DEPTH` documents, how many were dropped from its ranking.
+    The scores themselves are not kept.  ``cut`` counts, for each query that
+    retrieved more than :data:`EVALUATION_DEPTH` documents, how many were
+    dropped from its ranking.
     """
 
-    rankings: Mapping[str, tuple[tuple[str, float], ...]]
+    rankings: Mapping[str, tuple[str, ...]]
     cut: Mapping[str, int] = MappingProxyType({})
 
 
@@ -123,9 +126,10 @@ def parse_run(source: Source) -> RunList:
                 raise RunParseError(f"line {number}: duplicate document {docid!r} for query {qid!r}")
             per_query[docid] = score
     rankings, cut = {}, {}
-    for qid, docs in scored.items():
-        ordered = sorted(docs.items(), key=lambda item: (-item[1], item[0]))
-        rankings[qid] = tuple(ordered[:EVALUATION_DEPTH])
+    for qid in list(scored):
+        docs = scored.pop(qid)  # each query's scores are freed once it is ranked
+        ordered = sorted(zip(map(neg, docs.values()), docs))  # (-score, docid), built in C
+        rankings[qid] = tuple(map(itemgetter(1), ordered[:EVALUATION_DEPTH]))
         if len(ordered) > EVALUATION_DEPTH:
             cut[qid] = len(ordered) - EVALUATION_DEPTH
     return RunList(rankings, cut)
@@ -161,7 +165,7 @@ def parse_qrels(source: Source) -> Qrels:
 def _grades(run: RunList, qrels: Qrels, qid: str) -> tuple[list[int | None], list[int]]:
     """The grade at each rank (``None`` where unjudged) and the judged grades, best first."""
     judged = qrels.grades.get(qid, {})
-    ranked = [judged.get(docid) for docid, _ in run.rankings.get(qid, ())]
+    ranked = list(map(judged.get, run.rankings.get(qid, ())))
     return ranked, sorted(judged.values(), reverse=True)
 
 

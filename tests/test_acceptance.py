@@ -198,10 +198,7 @@ def test_criterion_4_metric_oracles():
     started = time.perf_counter()
     instances = 0
     for ranked, judgments in _enumerate_judged_instances():
-        scores = tuple(
-            (docid, float(len(ranked) - i)) for i, docid in enumerate(ranked)
-        )
-        run = RunList({"q": scores})
+        run = RunList({"q": tuple(ranked)})
         qrels = Qrels({"q": judgments})
         got = evaluate_query(run, qrels, "q")
         assert abs(got["map"] - oracles.ap_naive(ranked, judgments)) <= TOL
@@ -219,7 +216,7 @@ def test_criterion_4_metric_oracles():
     # roundings of these exact expressions)
     from polyrep.ireval import ndcg_at
 
-    run = RunList({"q": (("d3", 3.0), ("d1", 2.0), ("d2", 1.0))})
+    run = RunList({"q": ("d3", "d1", "d2")})
     qrels = Qrels({"q": {"d1": 3, "d2": 1, "d3": 0}})
     assert abs(evaluate_query(run, qrels, "q")["map"] - 7 / 12) <= 1e-6
     ndcg3 = ndcg_at(run, qrels, "q", 3)
@@ -227,7 +224,7 @@ def test_criterion_4_metric_oracles():
     assert abs(ndcg3 - expected) <= 1e-6
     assert abs(ndcg3 - 0.6590) <= 1e-4
 
-    bpref_run = RunList({"q": (("d3", 3.0), ("d1", 2.0), ("d2", 1.0))})
+    bpref_run = RunList({"q": ("d3", "d1", "d2")})
     bpref_qrels = Qrels({"q": {"d1": 1, "d2": 1, "d3": 0, "d4": 0}})
     assert abs(evaluate_query(bpref_run, bpref_qrels, "q")["bpref"] - 0.5) <= 1e-6
 

@@ -5,6 +5,8 @@ import math
 import os
 import random
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -56,9 +58,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def run_of(qid, docids):
-    """Ranking from an explicit doc order (scores descend with position)."""
-    scores = tuple((docid, float(len(docids) - i)) for i, docid in enumerate(docids))
-    return RunList({qid: scores})
+    """Ranking from an explicit doc order."""
+    return RunList({qid: tuple(docids)})
 
 
 def qrels_of(qid, judgments):
@@ -71,18 +72,41 @@ class TestParseRun:
 
     def test_single_record(self):
         run = parse_run(["q1 Q0 d1 1 2.5 tag"])
-        assert run.rankings["q1"] == (("d1", 2.5),)
+        assert run.rankings["q1"] == ("d1",)
         assert run.cut == {}
 
     def test_rank_column_is_ignored_and_recomputed(self):
         run = parse_run(
             ["q1 Q0 low 1 0.5 t", "q1 Q0 high 2 9.5 t", "q1 Q0 mid 3 5.0 t"]
         )
-        assert [docid for docid, _ in run.rankings["q1"]] == ["high", "mid", "low"]
+        assert run.rankings["q1"] == ("high", "mid", "low")
 
     def test_score_ties_break_on_ascending_docid(self):
         run = parse_run(["q1 Q0 b 1 1.0 t", "q1 Q0 a 2 1.0 t"])
-        assert [docid for docid, _ in run.rankings["q1"]] == ["a", "b"]
+        assert run.rankings["q1"] == ("a", "b")
+
+    def test_equal_scores_and_signed_zeros_tie_on_ascending_docid(self):
+        # each query in two blocks; -0.0 == 0.0, so neither zero ranks above the other
+        lines = ["q1 Q0 c 1 0.0 t", "q2 Q0 y 1 2.5 t", "q1 Q0 a 2 -0.0 t", "q2 Q0 x 2 2.5 t",
+                 "q1 Q0 b 3 0 t", "q2 Q0 w 3 -0 t", "q1 Q0 z 4 1.0 t", "q2 Q0 v 4 0.0 t"]
+        assert parse_run(lines).rankings == {"q1": ("z", "a", "b", "c"), "q2": ("x", "y", "v", "w")}
+
+    def test_a_ranking_keeps_only_its_doc_ids(self):
+        # beside each doc id one tuple slot stays live: no score and no (doc id, score) pair
+        lines = [f"q{q} Q0 doc-{q}-{d:05d} {d} {d * 7919 % 1000 / 8} t"
+                 for q in range(4) for d in range(1000)]
+        parse_run(lines)  # what a first call loads is not counted below
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = parse_run(lines)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(type(ranking) is tuple for ranking in run.rankings.values())
+        docids = [docid for ranking in run.rankings.values() for docid in ranking]
+        assert len(docids) == 4000 and all(type(docid) is str for docid in docids)
+        assert live <= sum(map(sys.getsizeof, docids)) + 16 * len(docids) + 8192
 
     def test_duplicate_document_rejected(self):
         with pytest.raises(RunParseError, match="line 2.*duplicate"):
@@ -112,19 +136,19 @@ class TestParseRun:
         lines = [f"q1 Q0 d{i:04d} {i} {2000 - i}.0 t" for i in range(1500)]
         run = parse_run(lines)
         assert len(run.rankings["q1"]) == 1000
-        assert run.rankings["q1"][0][0] == "d0000"
+        assert run.rankings["q1"][0] == "d0000"
         assert run.cut == {"q1": 500}
 
     def test_file_path_source(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d1 1 1.0 t\n")
-        assert parse_run(path).rankings == {"q1": (("d1", 1.0),)}
+        assert parse_run(path).rankings == {"q1": ("d1",)}
 
     def test_query_lines_need_not_be_contiguous(self):
         split = ["q1 Q0 a 1 3.0 t", "q2 Q0 c 1 1.0 t", "q1 Q0 b 2 2.0 t"]
         grouped = [split[0], split[2], split[1]]
         assert parse_run(split) == parse_run(grouped)
-        assert parse_run(split).rankings == {"q1": (("a", 3.0), ("b", 2.0)), "q2": (("c", 1.0),)}
+        assert parse_run(split).rankings == {"q1": ("a", "b"), "q2": ("c",)}
 
     def test_duplicate_in_a_later_block_names_that_line(self):
         lines = ["q1 Q0 a 1 3.0 t", "q2 Q0 a 1 1.0 t", "q1 Q0 b 2 2.0 t", "q1 Q0 a 3 1.0 t"]
@@ -191,6 +215,13 @@ BLANKS = " \t\x0b\x0c\u3000\u2028"
 QIDS, DOCIDS = ("q1", "q2", "q3"), ("a", "b", "c", "d")
 
 
+def reference_doc_ids(source):
+    """The reference reader's run, each ranking cut down to its doc ids."""
+    run = oracles.parse_run_reference(source)
+    return RunList({qid: tuple(docid for docid, _ in ranking)
+                    for qid, ranking in run.rankings.items()}, run.cut)
+
+
 class Reader(NamedTuple):
     parse: Callable
     reference: Callable
@@ -200,7 +231,7 @@ class Reader(NamedTuple):
 
 
 READERS = {
-    "run": Reader(parse_run, oracles.parse_run_reference,
+    "run": Reader(parse_run, reference_doc_ids,
                   lambda qid, docid, score: f"{qid} Q0 {docid} 0 {score} t",
                   st.sampled_from(["1.0", "2", "0.5", "-3.25", "1e2", "1.00", "+7", ".5", "-0"]),
                   ("1_0", "\u0663", "x", "inf", "nan")),
@@ -269,7 +300,7 @@ class TestReadersAgainstReference:
         expected = reader.reference(source)
         got = reader.parse(source)
         assert got == expected
-        assert repr(got) == repr(expected)  # the same query order, documents and scores
+        assert repr(got) == repr(expected)  # the same query order and documents
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(READERS)), st.sampled_from(FORMS), st.data())

@@ -44,7 +44,7 @@ RECORDS = {
     "CombinationSpec": SPEC,
     "CombinationResult": RESULT,
     "Qrels": Qrels({"q": {"d1": 2}}),
-    "RunList": RunList({"q": (("d1", 2.0),)}, {"q": 5}),
+    "RunList": RunList({"q": ("d1",)}, {"q": 5}),
     "MetricReport": MetricReport({"q": {"map": 1.0}}, {"map": 1.0}),
 }
 # the records that hold only hashable fields (the others hold dicts)
