@@ -23,7 +23,8 @@ import io
 import json
 import os
 import sys
-from typing import IO, TYPE_CHECKING, Callable
+from functools import partial
+from typing import IO, TYPE_CHECKING, Callable, Iterable
 
 from .combine import (
     REPORT_HEADER,
@@ -151,6 +152,18 @@ def _write(args: argparse.Namespace, stem: str, payload: Callable[[], object],
         _emit(buffer.getvalue(), args.out, stem + ".tsv")
 
 
+def _write_rows(args: argparse.Namespace, stem: str, columns: tuple[str, ...],
+                rows: Iterable[tuple], last_cell: Callable[[object], str]) -> None:
+    """One TSV line per row, its last field by ``last_cell``, or ``{stem: [row by column]}``."""
+
+    def write_tsv(stream: IO[str]) -> None:
+        stream.write("\t".join(columns) + "\n")
+        for *fields, last in rows:
+            stream.write("\t".join(fields) + f"\t{last_cell(last)}\n")
+
+    _write(args, stem, lambda: {stem: [dict(zip(columns, row)) for row in rows]}, write_tsv)
+
+
 def _matrix(args: argparse.Namespace) -> list[CombinationResult]:
     topics = load_topics(args.topics)
     levels = _parse_levels(args.prep)
@@ -166,14 +179,7 @@ def cmd_prep(args: argparse.Namespace) -> int:
     rows = [(topic.id, representation, level.value, sorted(sets[level]))
             for topic, by_text in topic_term_sets(topics, levels)
             for representation, sets in by_text.items() for level in levels]
-
-    def write_tsv(stream: IO[str]) -> None:
-        stream.write("\t".join(PREP_COLUMNS) + "\n")
-        for tid, rep, level, terms in rows:
-            stream.write(f"{tid}\t{rep}\t{level}\t{' '.join(terms)}\n")
-
-    _write(args, "termsets", lambda: {"termsets": [dict(zip(PREP_COLUMNS, row)) for row in rows]},
-           write_tsv)
+    _write_rows(args, "termsets", PREP_COLUMNS, rows, " ".join)
     return 0
 
 
@@ -233,7 +239,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _plot_filename(key: tuple[str, ...]) -> str:
     level, operator, rep_a, rep_b, order, component, metric = key
-    orders = [order.lower()] if operator == FusionOperator.RECOMMENDATION.value else []
+    orders = [] if order == "-" else [order.lower()]
     return "_".join(["plot", level, operator, rep_a, rep_b, *orders, component, metric]) + ".tsv"
 
 
@@ -247,15 +253,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     _warn("plot files in --out that this run does not write, kept",
           sorted({name for name in present if name.startswith("plot_") and name.endswith(".tsv")}
                  - set(names)))
-
-    def write_tsv(stream: IO[str]) -> None:
-        stream.write("\t".join(CORRELATION_COLUMNS) + "\n")
-        for key, _, _, rho in table:
-            stream.write("\t".join(key) + f"\t{rho:.4f}\n")
-
-    _write(args, "correlations", lambda: {
-        "correlations": [dict(zip(CORRELATION_COLUMNS, (*key, rho))) for key, _, _, rho in table]
-    }, write_tsv)
+    _write_rows(args, "correlations", CORRELATION_COLUMNS,
+                ((*key, rho) for key, _, _, rho in table), "{:.4f}".format)
     # each vector is formatted once, after the report, so its text does not add to the peak
     x_columns = {}  # by metric
     y_vector = y_column = None  # the cells of one (label, component) are consecutive
@@ -270,12 +269,12 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each subcommand's parser by name."""
-    parser = argparse.ArgumentParser(
+    new_parser = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = new_parser(
         prog="polyrep",
         description="Combine query context representations and evaluate retrieval runs.",
-        allow_abbrev=False,
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     def add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> None:
         sub.add_argument("--config", help="flat key=value options file")
@@ -306,28 +305,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         sub.add_argument("--run", required=True, help="run file (qid Q0 docid rank score tag)")
         sub.add_argument("--qrels", required=True, help="judgments file (qid 0 docid grade)")
 
-    prep = subparsers.add_parser("prep", help="dump per-topic term sets", allow_abbrev=False)
+    prep = subparsers.add_parser("prep", help="dump per-topic term sets")
     add_topic_options(prep)
     add_common(prep)
     prep.set_defaults(func=cmd_prep)
 
-    poly = subparsers.add_parser(
-        "polyrep", help="combination probability table", allow_abbrev=False
-    )
+    poly = subparsers.add_parser("polyrep", help="combination probability table")
     add_matrix_options(poly)
     add_common(poly)
     poly.set_defaults(func=cmd_polyrep)
 
-    evaluate = subparsers.add_parser(
-        "evaluate", help="score a run against judgments", allow_abbrev=False
-    )
+    evaluate = subparsers.add_parser("evaluate", help="score a run against judgments")
     add_run_options(evaluate)
     add_common(evaluate)
     evaluate.set_defaults(func=cmd_evaluate)
 
     correlate = subparsers.add_parser(
-        "correlate", help="rank-correlate opinion components with effectiveness",
-        allow_abbrev=False,
+        "correlate", help="rank-correlate opinion components with effectiveness"
     )
     add_matrix_options(correlate)
     add_run_options(correlate)

@@ -183,9 +183,11 @@ def topic_term_sets(topics: Iterable[Topic], levels: Sequence[PrepLevel]
                     ) -> Iterator[tuple[Topic, dict[str, dict[PrepLevel, TermSet]]]]:
     """Each topic with its five texts' term sets by name and level: :func:`run_matrix`'s input.
 
-    One :class:`Stems` memo serves every text.  A level given twice raises
-    ValueError before the first topic.
+    One :class:`Stems` memo serves every text.  No level, or a level given
+    twice, raises ValueError before the first topic.
     """
+    if not levels:
+        raise ValueError("at least one preprocessing level is required")
     for index, level in enumerate(levels):
         if level in levels[:index]:
             raise ValueError(f"preprocessing level {PrepLevel(level).value} is given more than once")
@@ -217,8 +219,6 @@ def run_matrix(
     positive_rule, mode = PositiveRule(positive_rule), AggregationMode(mode)
     if not topics:
         raise EmptyTopicListError("at least one topic is required")
-    if not levels:
-        raise ValueError("at least one preprocessing level is required")
     # One (cells, pooled sums) pair per evidence group, each cell a (spec, per-topic
     # entries) pair; the sums are positive/negative for a, then b.
     groups = [([(spec, []) for spec in cells], [0, 0, 0, 0])

@@ -1050,3 +1050,28 @@ def test_missing_or_unknown_subcommand_is_a_usage_error(argv, error, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("usage: polyrep ") and f"polyrep: error: {error}" in out.err
+
+
+@pytest.mark.parametrize("command, abbreviated", [
+    ("prep", ["--form", "obj"]),
+    ("polyrep", ["--alp", "0.3"]),
+    ("evaluate", ["--form", "obj"]),
+    ("correlate", ["--oper", "both"]),
+], ids=["prep", "polyrep", "evaluate", "correlate"])
+def test_abbreviated_flag_is_a_usage_error(tmp_path, capsys, command, abbreviated):
+    """Flags must be given in full, as config keys must, and a refused command writes nothing."""
+    topics, run, qrels = (str(DATA / name) for name in ("topics.jsonl", "run.txt", "qrels.txt"))
+    inputs = {
+        "prep": ["--topics", topics],
+        "polyrep": ["--topics", topics],
+        "evaluate": ["--run", run, "--qrels", qrels],
+        "correlate": ["--topics", topics, "--run", run, "--qrels", qrels,
+                      "--out", str(tmp_path / "out")],
+    }
+    with pytest.raises(SystemExit) as exited:
+        main([command, *inputs[command], *abbreviated])
+    assert exited.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"polyrep: error: unrecognized arguments: {' '.join(abbreviated)}\n")
+    assert not (tmp_path / "out").exists()

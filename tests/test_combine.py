@@ -197,6 +197,11 @@ class TestTopicTermSets:
         with pytest.raises(ValueError, match="^preprocessing level III is given more than once$"):
             next(stage)
 
+    def test_no_level_rejected_before_the_first_topic(self):
+        stage = topic_term_sets([], [])
+        with pytest.raises(ValueError, match="^at least one preprocessing level is required$"):
+            next(stage)
+
 
 class TestRunMatrix:
     def test_empty_topic_list(self):

@@ -1,5 +1,6 @@
-"""Tokenization levels, stopword membership and the bundled stoplist file."""
+"""Tokenization levels, stopword membership, the bundled stoplist file and the line reader."""
 
+import os
 import re
 import unicodedata
 from importlib import resources
@@ -245,3 +246,14 @@ def test_level_ii_follows_the_interpreters_unicode_version():
     else:
         expected = {"sea", "shell"}
     assert tokenize(text, PrepLevel.CASE_PUNCT) == expected
+
+
+def test_reading_names_a_file_replaced_after_its_bad_bytes_were_read(tmp_path):
+    # the open handle decodes the old bytes; the re-read that looks for them sees the new file
+    path, valid = tmp_path / "lines.txt", tmp_path / "valid.txt"
+    path.write_bytes(b"ok\n\xff\n")
+    valid.write_bytes(b"ok\nok\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not valid UTF-8 when first read$"):
+        with textprep.reading(path, ValueError) as lines:
+            os.replace(valid, path)
+            list(lines)
