@@ -20,32 +20,28 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from functools import partial
 from typing import IO, TYPE_CHECKING, Callable, Iterable
 
-from .combine import (
-    REPORT_HEADER,
-    AggregationMode,
-    CombinationResult,
-    FusionOperator,
-    load_topics,
-    run_matrix,
-    topic_term_sets,
-    write_report,
-)
-from .evidence import PositiveRule
 from .textprep import PrepLevel, _decimal, reading
 
 if TYPE_CHECKING:
+    from .combine import CombinationResult
     from .ireval import MetricReport
 
 _SHOWN_IDS = 5  # ids or file names a diagnostic shows before eliding the rest
 
 #: A ``prep`` row: the topic, the text's name, the level and the term set.
 PREP_COLUMNS = ("topic", "representation", "level", "terms")
+
+# The values of ``evidence.PositiveRule``, ``combine.AggregationMode`` and
+# ``combine.FusionOperator``, spelled out so that building the parser loads no
+# combination code; ``run_matrix`` reads each choice back as its enum member.
+POSITIVE_RULES = ["union", "intersection"]
+AGGREGATION_MODES = ["macro", "pooled"]
+FUSION_OPERATORS = ["consensus", "recommendation"]
 
 
 def _config_args(command: argparse.ArgumentParser | None, argv: list[str]) -> list[str]:
@@ -145,6 +141,7 @@ def _write(args: argparse.Namespace, stem: str, payload: Callable[[], object],
         if os.path.exists(os.path.join(args.out, other)):
             _warn("report in --out in the other --format, kept", [other])
     if args.format == "obj":
+        import json
         _emit(json.dumps(payload(), indent=2, sort_keys=True) + "\n", args.out, stem + ".json")
     else:
         buffer = io.StringIO()
@@ -165,6 +162,7 @@ def _write_rows(args: argparse.Namespace, stem: str, columns: tuple[str, ...],
 
 
 def _matrix(args: argparse.Namespace) -> list[CombinationResult]:
+    from .combine import load_topics, run_matrix
     topics = load_topics(args.topics)
     levels = _parse_levels(args.prep)
     alpha = _parse_alpha(args.alpha)
@@ -174,6 +172,7 @@ def _matrix(args: argparse.Namespace) -> list[CombinationResult]:
 
 
 def cmd_prep(args: argparse.Namespace) -> int:
+    from .combine import load_topics, topic_term_sets
     topics = load_topics(args.topics)
     levels = _parse_levels(args.prep)
     rows = [(topic.id, representation, level.value, sorted(sets[level]))
@@ -184,6 +183,7 @@ def cmd_prep(args: argparse.Namespace) -> int:
 
 
 def cmd_polyrep(args: argparse.Namespace) -> int:
+    from .combine import write_report
     results = _matrix(args)
     _write(args, "polyrep", lambda: {"results": [_result_record(res) for res in results]},
            lambda stream: write_report(results, stream))
@@ -191,6 +191,7 @@ def cmd_polyrep(args: argparse.Namespace) -> int:
 
 
 def _result_record(result: CombinationResult) -> dict:
+    from .combine import REPORT_HEADER
     return {
         **dict(zip(REPORT_HEADER, (*result.spec.label, result.aggregate_probability))),
         "per_topic": [
@@ -293,12 +294,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         sub.add_argument("--alpha", default="0.5",
                          help="prior base rate in [0, 1] (default 0.5)")
         sub.add_argument(
-            "--positive-rule", dest="positive_rule", choices=[rule.value for rule in PositiveRule],
+            "--positive-rule", dest="positive_rule", choices=POSITIVE_RULES,
             default="union", help="consensus positive-evidence reading (default union)",
         )
-        sub.add_argument("--agg", choices=[mode.value for mode in AggregationMode],
+        sub.add_argument("--agg", choices=AGGREGATION_MODES,
                          default="macro", help="aggregation across topics (default macro)")
-        sub.add_argument("--operator", choices=[op.value for op in FusionOperator] + ["both"],
+        sub.add_argument("--operator", choices=FUSION_OPERATORS + ["both"],
                          default="both", help="restrict the matrix (default both)")
 
     def add_run_options(sub: argparse.ArgumentParser) -> None:
@@ -334,10 +335,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser()
+    command = commands.get(argv[0]) if argv else None
     try:
         # config lines go right after the subcommand name, so explicit flags win
-        config = _config_args(commands.get(argv[0]) if argv else None, argv[1:])
-        args = parser.parse_args(argv[:1] + config + argv[1:])
+        config = _config_args(command, argv[1:])
+        args, unrecognized = parser.parse_known_args(argv[:1] + config + argv[1:])
+        if unrecognized:  # a subcommand's usage lists its options; the top-level one does not
+            (command or parser).error(f"unrecognized arguments: {' '.join(unrecognized)}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"polyrep: error: {exc}", file=sys.stderr)

@@ -9,10 +9,12 @@ treat grade > 0 as relevant.
 Each file is read in one pass, one line at a time.
 
 Six effectiveness measures are computed per query, all in one walk of its
-ranking by :func:`evaluate_query`, and averaged over every judged query:
+judged ranks by :func:`evaluate_query`, and averaged over every judged query:
 average precision (reported as map), NDCG at the evaluation depth, bpref,
-P@10, NDCG@10 and reciprocal rank (mrr).  Queries without relevant
-judgments score zero and stay in the mean.
+P@10, NDCG@10 and reciprocal rank (mrr).  An unjudged rank adds to no
+measure, so the walk skips it.  Queries without relevant judgments score
+zero and stay in the mean.  The module loads no combination code: the
+correlation functions read only the fields of the results they are given.
 
 :func:`spearman` is the rank correlation used to relate fused-opinion
 components to per-query effectiveness; :func:`correlation_table` ranks
@@ -31,13 +33,15 @@ from __future__ import annotations
 import enum
 import math
 from functools import reduce
-from itertools import groupby
-from operator import add, attrgetter, itemgetter, mul, neg
+from itertools import compress, groupby
+from operator import add, attrgetter, itemgetter, mul
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .combine import REPORT_HEADER, CombinationResult
 from .textprep import Source, _decimal, reading
+
+if TYPE_CHECKING:
+    from .combine import CombinationResult
 
 #: Evaluation depth: only the strongest-scored documents per query count.
 EVALUATION_DEPTH = 1000
@@ -50,8 +54,11 @@ METRICS = ("map", "ndcg", "bpref", "p10", "ndcg10", "mrr")
 #: The query id of the metric report's mean rows, so no run or judgment may use it.
 SUMMARY_ID = "all"
 
-#: A correlation row: the seven fields naming its cell, then the correlation.
-CORRELATION_COLUMNS = REPORT_HEADER[:5] + ("component", "metric", "rho")
+#: A correlation row: the seven fields naming its cell, then the correlation.  The first
+#: five are those of ``combine.REPORT_HEADER``, spelled out so that scoring a run loads no
+#: combination code.
+CORRELATION_COLUMNS = ("level", "operator", "rep_a", "rep_b", "order", "component", "metric",
+                       "rho")
 
 
 class RunParseError(ValueError):
@@ -101,11 +108,10 @@ class RunList(NamedTuple):
 
 def parse_run(source: Source) -> RunList:
     """Parse a run file; duplicate documents within a query are rejected."""
-    scored: dict[str, dict[str, float]] = {}
+    scored: dict[str, dict[str, float]] = {}  # query id -> doc id -> negated score
     last = per_query = None
     with reading(source, RunParseError) as lines:
-        for number, line in enumerate(lines, start=1):
-            fields = line.split()
+        for number, fields in enumerate(map(str.split, lines), start=1):
             try:
                 qid, _, docid, _, score_text, _ = fields
             except ValueError:
@@ -113,7 +119,7 @@ def parse_run(source: Source) -> RunList:
                     raise RunParseError(f"line {number}: expected 6 fields, got {len(fields)}")
                 continue
             try:
-                score = _decimal(score_text)
+                score = -_decimal(score_text)  # negated, so ascending order ranks best first
             except ValueError as exc:
                 raise RunParseError(f"line {number}: bad score {score_text!r}") from exc
             if not math.isfinite(score):
@@ -128,7 +134,7 @@ def parse_run(source: Source) -> RunList:
     rankings, cut = {}, {}
     for qid in list(scored):
         docs = scored.pop(qid)  # each query's scores are freed once it is ranked
-        ordered = sorted(zip(map(neg, docs.values()), docs))  # (-score, docid), built in C
+        ordered = sorted(zip(docs.values(), docs))  # (-score, docid), built in C
         rankings[qid] = tuple(map(itemgetter(1), ordered[:EVALUATION_DEPTH]))
         if len(ordered) > EVALUATION_DEPTH:
             cut[qid] = len(ordered) - EVALUATION_DEPTH
@@ -140,8 +146,7 @@ def parse_qrels(source: Source) -> Qrels:
     grades: dict[str, dict[str, int]] = {}
     last = per_query = None
     with reading(source, QrelsParseError) as lines:
-        for number, line in enumerate(lines, start=1):
-            fields = line.split()
+        for number, fields in enumerate(map(str.split, lines), start=1):
             try:
                 qid, _, docid, grade_text = fields
             except ValueError:
@@ -182,36 +187,49 @@ def _ndcg(ranked: list[int | None], ideal_gains: list[int], k: int) -> float:
 
 
 def evaluate_query(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:
-    """The six measures of one query: one judgment lookup, one walk of the ranking.
+    """The six measures of one query: one judgment lookup, one walk of its judged ranks.
 
     R judged documents have grade > 0 (relevant) and N grade 0.  bpref
     charges each retrieved relevant document the judged documents of grade
     <= 0 ranked above it, capped at min(R, N) and divided by it (nothing
     when min(R, N) is 0), and skips unjudged ones.  p10 counts missing
     top-10 ranks as misses.  map and bpref divide by R, and are 0 if R is 0.
+    Unjudged ranks add to no measure, so the walk skips them; the DCG of
+    each NDCG is added up in the walk, left to right as :func:`_dcg` adds,
+    over the ranks up to its cut-off and :data:`EVALUATION_DEPTH`.
     """
-    ranked, ideal_gains = _grades(run, qrels, qid)
-    relevant = sum(1 for grade in ideal_gains if grade > 0)
-    bound = min(relevant, ideal_gains.count(0))
+    judged = qrels.grades.get(qid, {})
+    ranking = run.rankings.get(qid, ())
+    ideal_gains = sorted(judged.values(), reverse=True)
+    nonrelevant = ideal_gains.count(0)
+    relevant = len(ideal_gains) - nonrelevant
+    bound = min(relevant, nonrelevant)
     hits = top_hits = first = nonrelevant_above = 0
-    precision_sum = preference = 0.0
-    for rank, grade in enumerate(ranked, start=1):
-        if grade is None:
-            continue
+    precision_sum = preference = dcg = dcg10 = 0.0
+    for rank, docid in compress(enumerate(ranking, start=1), map(judged.__contains__, ranking)):
+        grade = judged[docid]
         if grade > 0:
             hits += 1
             precision_sum += hits / rank
             preference += (1.0 - min(nonrelevant_above, bound) / bound) if bound else 1.0
             top_hits += rank <= 10
             first = first or rank
+            if rank <= EVALUATION_DEPTH:
+                gain = grade / math.log2(rank + 1)
+                dcg += gain
+                if rank <= 10:
+                    dcg10 += gain
         else:
             nonrelevant_above += 1
+    # the grade-0 gains sort last and add nothing
+    ideal = _dcg(ideal_gains[:min(relevant, EVALUATION_DEPTH)])
+    ideal10 = _dcg(ideal_gains[:10])
     return {
         "map": precision_sum / relevant if relevant else 0.0,
-        "ndcg": _ndcg(ranked, ideal_gains, EVALUATION_DEPTH),
+        "ndcg": dcg / ideal if ideal else 0.0,
         "bpref": preference / relevant if relevant else 0.0,
         "p10": top_hits / 10,
-        "ndcg10": _ndcg(ranked, ideal_gains, 10),
+        "ndcg10": dcg10 / ideal10 if ideal10 else 0.0,
         "mrr": 1.0 / first if first else 0.0,
     }
 

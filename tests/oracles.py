@@ -11,6 +11,12 @@ readers the package had before it read each file in one flat loop, kept
 verbatim (one ``_fields`` generator feeding a per-line query lookup).  They
 share the package's line source, score rule, records and errors, and check
 that the flat loop accepts, orders and rejects every input as they did.
+
+:func:`evaluate_query_reference` is the per-query scorer the package had
+before it walked only the judged ranks, kept verbatim with its
+``_grades`` helper: it looks up a grade at every rank and computes each
+NDCG from a separate pass over the graded ranking.  The package's scorer
+must give the same six floats, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from polyrep.ireval import (
     QrelsParseError,
     RunList,
     RunParseError,
+    _ndcg,
 )
 from polyrep.textprep import _decimal, reading
 
@@ -206,3 +213,45 @@ def parse_qrels_reference(source: str | Path | Iterable[str]) -> Qrels:
             raise QrelsParseError(f"line {number}: duplicate judgment for {qid!r}/{docid!r}")
         per_query[docid] = grade
     return Qrels(grades)
+
+
+def _grades_reference(run: RunList, qrels: Qrels, qid: str) -> tuple[list[int | None], list[int]]:
+    """The grade at each rank (``None`` where unjudged) and the judged grades, best first."""
+    judged = qrels.grades.get(qid, {})
+    ranked = list(map(judged.get, run.rankings.get(qid, ())))
+    return ranked, sorted(judged.values(), reverse=True)
+
+
+def evaluate_query_reference(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:
+    """The six measures of one query: one judgment lookup, one walk of the ranking.
+
+    R judged documents have grade > 0 (relevant) and N grade 0.  bpref
+    charges each retrieved relevant document the judged documents of grade
+    <= 0 ranked above it, capped at min(R, N) and divided by it (nothing
+    when min(R, N) is 0), and skips unjudged ones.  p10 counts missing
+    top-10 ranks as misses.  map and bpref divide by R, and are 0 if R is 0.
+    """
+    ranked, ideal_gains = _grades_reference(run, qrels, qid)
+    relevant = sum(1 for grade in ideal_gains if grade > 0)
+    bound = min(relevant, ideal_gains.count(0))
+    hits = top_hits = first = nonrelevant_above = 0
+    precision_sum = preference = 0.0
+    for rank, grade in enumerate(ranked, start=1):
+        if grade is None:
+            continue
+        if grade > 0:
+            hits += 1
+            precision_sum += hits / rank
+            preference += (1.0 - min(nonrelevant_above, bound) / bound) if bound else 1.0
+            top_hits += rank <= 10
+            first = first or rank
+        else:
+            nonrelevant_above += 1
+    return {
+        "map": precision_sum / relevant if relevant else 0.0,
+        "ndcg": _ndcg(ranked, ideal_gains, EVALUATION_DEPTH),
+        "bpref": preference / relevant if relevant else 0.0,
+        "p10": top_hits / 10,
+        "ndcg10": _ndcg(ranked, ideal_gains, 10),
+        "mrr": 1.0 / first if first else 0.0,
+    }

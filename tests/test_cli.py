@@ -1073,5 +1073,18 @@ def test_abbreviated_flag_is_a_usage_error(tmp_path, capsys, command, abbreviate
     assert exited.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.endswith(f"polyrep: error: unrecognized arguments: {' '.join(abbreviated)}\n")
+    # reported by the subcommand's parser, so its usage lists the options it takes
+    assert out.err.startswith(f"usage: polyrep {command} [-h] ")
+    assert out.err.endswith(
+        f"polyrep {command}: error: unrecognized arguments: {' '.join(abbreviated)}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_flag_before_the_subcommand_is_a_top_level_usage_error(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--form", "polyrep", "--topics", str(DATA / "topics.jsonl")])
+    assert exited.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("usage: polyrep [-h] {prep,polyrep,evaluate,correlate} ...\n"
+                       "polyrep: error: unrecognized arguments: --form\n")

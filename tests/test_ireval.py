@@ -24,6 +24,7 @@ from polyrep.combine import (
 )
 from polyrep.ireval import (
     CORRELATION_COLUMNS,
+    EVALUATION_DEPTH,
     GRADES,
     METRICS,
     Component,
@@ -90,6 +91,11 @@ class TestParseRun:
         lines = ["q1 Q0 c 1 0.0 t", "q2 Q0 y 1 2.5 t", "q1 Q0 a 2 -0.0 t", "q2 Q0 x 2 2.5 t",
                  "q1 Q0 b 3 0 t", "q2 Q0 w 3 -0 t", "q1 Q0 z 4 1.0 t", "q2 Q0 v 4 0.0 t"]
         assert parse_run(lines).rankings == {"q1": ("z", "a", "b", "c"), "q2": ("x", "y", "v", "w")}
+
+    def test_zero_spellings_tie_on_ascending_docid(self):
+        lines = ["q1 Q0 c 1 0 t", "q1 Q0 up 2 0.5 t", "q1 Q0 a 3 -0.0 t", "q1 Q0 b 4 0.000 t",
+                 "q1 Q0 down 5 -0.5 t"]
+        assert parse_run(lines).rankings["q1"] == ("up", "a", "b", "c", "down")
 
     def test_a_ranking_keeps_only_its_doc_ids(self):
         # beside each doc id one tuple slot stays live: no score and no (doc id, score) pair
@@ -649,6 +655,64 @@ class TestBeyondFiveDocuments:
             )
         assert ndcg_at(run, qrels, "q", 1000) == got["ndcg"]
         assert ndcg_at(run, qrels, "q", 10) == got["ndcg10"]
+
+
+@st.composite
+def walk_instances(draw):
+    """A ranking for query "q" (or only for another query) and its judgments.
+
+    Rankings are short, or a little shorter or longer than
+    :data:`EVALUATION_DEPTH`, as a :class:`RunList` built directly may be.
+    Judgments fall on ranked and unranked documents alike, so ranks go
+    unjudged and judged documents go unretrieved.
+    """
+    size = draw(st.one_of(st.integers(0, 30),
+                          st.integers(EVALUATION_DEPTH - 20, EVALUATION_DEPTH + 40)))
+    ranking = [f"d{i}" for i in range(size)]
+    pool = st.integers(0, size + 9).map(lambda i: f"d{i}")
+    judgments = draw(st.dictionaries(pool, st.sampled_from(GRADES), max_size=40))
+    qid = "q" if draw(st.booleans()) else "other"
+    return RunList({qid: tuple(ranking)}), qrels_of("q", judgments)
+
+
+def near_depth(grade):
+    """1,100 ranked documents, those at ranks 1, 10, 11, 999-1002 and 1100 judged ``grade``."""
+    ranking = tuple(f"d{rank}" for rank in range(1, 1101))
+    ranks = (1, 10, 11, 999, 1000, 1001, 1002, 1100)
+    return RunList({"q": ranking}), qrels_of("q", {f"d{rank}": grade for rank in ranks})
+
+
+class TestJudgedRankWalk:
+    """The walk over judged ranks gives the six floats of the full walk it replaced, exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_instances())
+    @example((run_of("q", ["a", "b"]), qrels_of("q", {})))  # nothing judged
+    @example((run_of("q", ["a", "b", "c"]), qrels_of("q", {"b": 0, "z": 0})))  # all grade 0
+    @example((run_of("q", []), qrels_of("q", {"a": 2})))  # empty ranking
+    @example((run_of("other", ["a"]), qrels_of("q", {"a": 1})))  # query absent from the run
+    def test_equals_the_reference(self, instance):
+        run, qrels = instance
+        got = evaluate_query(run, qrels, "q")
+        assert list(got) == list(METRICS)
+        assert got == oracles.evaluate_query_reference(run, qrels, "q")
+
+    @pytest.mark.parametrize("grade", GRADES)
+    def test_ranks_past_the_depth_add_no_gain(self, grade):
+        run, qrels = near_depth(grade)
+        got = evaluate_query(run, qrels, "q")
+        assert got == oracles.evaluate_query_reference(run, qrels, "q")
+        assert got["ndcg"] == ndcg_at(run, qrels, "q", EVALUATION_DEPTH)
+        assert got["ndcg10"] == ndcg_at(run, qrels, "q", 10)
+        if grade:
+            # the walk goes on past the depth for the other measures, as the full walk did
+            assert got["map"] == pytest.approx(sum(n / rank for n, rank in enumerate(
+                (1, 10, 11, 999, 1000, 1001, 1002, 1100), start=1)) / 8, abs=TOL)
+            assert got["ndcg"] < 1.0
+
+    def test_a_query_neither_ranked_nor_judged_scores_zero(self):
+        got = evaluate_query(run_of("q", ["a"]), qrels_of("q", {"a": 3}), "absent")
+        assert got == dict.fromkeys(METRICS, 0.0)
 
 
 class TestSpearman:
