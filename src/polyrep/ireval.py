@@ -6,7 +6,10 @@ the file is never trusted.  Scores are read only to order each query's
 documents, and a ranking keeps their doc ids alone.  Judgments (``qid 0
 docid grade``) carry grades 0-3 read as gains 0/1/2/3; binary metrics
 treat grade > 0 as relevant.
-Each file is read in one pass, one line at a time.
+Each file is read in one pass, one line at a time, and each query of a run
+is ranked when its block of lines ends: only that block's scores are held,
+plus, for a query whose lines resume later, its top scores (8 bytes each)
+and the doc ids it cut.
 
 Six effectiveness measures are computed per query, all in one walk of its
 judged ranks by :func:`evaluate_query`, and averaged over every judged query:
@@ -35,6 +38,7 @@ import math
 from functools import reduce
 from itertools import compress, groupby
 from operator import add, attrgetter, itemgetter, mul
+from struct import pack
 from types import MappingProxyType
 from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -106,9 +110,33 @@ class RunList(NamedTuple):
     cut: Mapping[str, int] = MappingProxyType({})
 
 
+def _rank_block(docs: Mapping[str, float]) -> tuple[tuple[str, ...], bytes, list[str]]:
+    """A query's ranking, its top negated scores as packed doubles, and the doc ids it cut."""
+    ordered = sorted(zip(docs.values(), docs))  # (-score, docid), built in C
+    scores = sorted(docs.values())[:EVALUATION_DEPTH]  # in rank order; a tied 0.0 and -0.0 may swap
+    return (tuple(map(itemgetter(1), ordered[:EVALUATION_DEPTH])),
+            pack(f"{len(scores)}d", *scores), list(map(itemgetter(1), ordered[EVALUATION_DEPTH:])))
+
+
+def _reopened(ranking: Sequence[str] = (), scores: bytes = b"",
+              cut: Iterable[str] = ()) -> dict[str, float]:
+    """A ranked query's documents again: its kept scores, then its cut ids after every score.
+
+    Every cut document scored no better than the whole kept top, so at
+    ``math.inf`` it still ranks after all of it, and it still counts as a repeat.
+    """
+    docs = dict.fromkeys(cut, math.inf)
+    docs.update(zip(ranking, memoryview(scores).cast("d")))
+    return docs
+
+
 def parse_run(source: Source) -> RunList:
-    """Parse a run file; duplicate documents within a query are rejected."""
-    scored: dict[str, dict[str, float]] = {}  # query id -> doc id -> negated score
+    """Parse a run file; duplicate documents within a query are rejected.
+
+    Each query is ranked when its block of lines ends; until the file ends it
+    keeps what :func:`_reopened` needs to merge a later block of it exactly.
+    """
+    blocks: dict[str, tuple[tuple[str, ...], bytes, list[str]]] = {}  # query id -> _rank_block
     last = per_query = None
     with reading(source, RunParseError) as lines:
         for number, fields in enumerate(map(str.split, lines), start=1):
@@ -124,21 +152,19 @@ def parse_run(source: Source) -> RunList:
                 raise RunParseError(f"line {number}: bad score {score_text!r}") from exc
             if not math.isfinite(score):
                 raise RunParseError(f"line {number}: non-finite score {score_text!r}")
-            if qid != last:  # a query's lines usually come together: look it up once per block
+            if qid != last:  # a block of the previous query ends here
                 if qid == SUMMARY_ID:
                     raise RunParseError(f"line {number}: query id {qid!r} names the summary rows")
-                last, per_query = qid, scored.setdefault(qid, {})
+                if last is not None:
+                    blocks[last] = _rank_block(per_query)
+                last, per_query = qid, _reopened(*blocks.get(qid, ()))
             if docid in per_query:
                 raise RunParseError(f"line {number}: duplicate document {docid!r} for query {qid!r}")
             per_query[docid] = score
-    rankings, cut = {}, {}
-    for qid in list(scored):
-        docs = scored.pop(qid)  # each query's scores are freed once it is ranked
-        ordered = sorted(zip(docs.values(), docs))  # (-score, docid), built in C
-        rankings[qid] = tuple(map(itemgetter(1), ordered[:EVALUATION_DEPTH]))
-        if len(ordered) > EVALUATION_DEPTH:
-            cut[qid] = len(ordered) - EVALUATION_DEPTH
-    return RunList(rankings, cut)
+    if last is not None:
+        blocks[last] = _rank_block(per_query)
+    return RunList({qid: ranking for qid, (ranking, _, _) in blocks.items()},
+                   {qid: len(cut) for qid, (_, _, cut) in blocks.items() if cut})
 
 
 def parse_qrels(source: Source) -> Qrels:
@@ -194,12 +220,13 @@ def evaluate_query(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:
     <= 0 ranked above it, capped at min(R, N) and divided by it (nothing
     when min(R, N) is 0), and skips unjudged ones.  p10 counts missing
     top-10 ranks as misses.  map and bpref divide by R, and are 0 if R is 0.
-    Unjudged ranks add to no measure, so the walk skips them; the DCG of
-    each NDCG is added up in the walk, left to right as :func:`_dcg` adds,
-    over the ranks up to its cut-off and :data:`EVALUATION_DEPTH`.
+    Every measure reads only the first :data:`EVALUATION_DEPTH` ranks, as
+    many as :func:`parse_run` keeps.  Unjudged ranks add to no measure, so
+    the walk skips them; the DCG of each NDCG is added up in the walk, left
+    to right as :func:`_dcg` adds, over the ranks up to its cut-off.
     """
     judged = qrels.grades.get(qid, {})
-    ranking = run.rankings.get(qid, ())
+    ranking = run.rankings.get(qid, ())[:EVALUATION_DEPTH]  # as parse_run cuts it
     ideal_gains = sorted(judged.values(), reverse=True)
     nonrelevant = ideal_gains.count(0)
     relevant = len(ideal_gains) - nonrelevant
@@ -214,11 +241,10 @@ def evaluate_query(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:
             preference += (1.0 - min(nonrelevant_above, bound) / bound) if bound else 1.0
             top_hits += rank <= 10
             first = first or rank
-            if rank <= EVALUATION_DEPTH:
-                gain = grade / math.log2(rank + 1)
-                dcg += gain
-                if rank <= 10:
-                    dcg10 += gain
+            gain = grade / math.log2(rank + 1)
+            dcg += gain
+            if rank <= 10:
+                dcg10 += gain
         else:
             nonrelevant_above += 1
     # the grade-0 gains sort last and add nothing

@@ -172,6 +172,95 @@ class TestParseRun:
         assert str(excinfo.value) == f"line {line}: query id 'all' names the summary rows"
 
 
+def run_line(qid, docid, score):
+    return f"{qid} Q0 {docid} 0 {score} t"
+
+
+def assert_read_as_by_the_reference(lines):
+    got, expected = parse_run(lines), oracles.parse_run_reference(lines)
+    assert got.rankings == {qid: tuple(docid for docid, _ in ranking)
+                            for qid, ranking in expected.rankings.items()}
+    assert list(got.cut.items()) == list(expected.cut.items())  # the same values, in order
+    return got
+
+
+class TestResumedQueries:
+    """A query whose lines resume after another query's is merged exactly at depth 1000."""
+
+    def test_a_deep_query_in_three_blocks_between_another(self):
+        rng = random.Random(7)
+        # one decimal, so scores tie within blocks and across them
+        q1 = [run_line("q1", f"d{i:04d}", round(rng.uniform(-25, 25), 1)) for i in range(1300)]
+        q2 = [run_line("q2", f"e{i:04d}", round(rng.uniform(-25, 25), 1)) for i in range(1050)]
+        lines = q1[:500] + q2[:600] + q1[500:1100] + q2[600:] + q1[1100:]
+        run = assert_read_as_by_the_reference(lines)
+        assert run.cut == {"q1": 300, "q2": 50}
+
+    def test_a_later_document_enters_the_top(self):
+        first = [run_line("q1", f"d{i:04d}", i) for i in range(1, 1101)]  # d0101..d1100 kept
+        later = [run_line("q1", "late-best", 5000), run_line("q1", "late-mid", 600.5),
+                 run_line("q1", "late-cut", 50.5)]
+        lines = first + [run_line("q2", "x", 1)] + later
+        run = assert_read_as_by_the_reference(lines)
+        ranking = run.rankings["q1"]
+        assert ranking[0] == "late-best"
+        assert ranking[ranking.index("d0601") + 1] == "late-mid"
+        assert "late-cut" not in ranking and ranking[-1] == "d0103"
+        assert run.cut == {"q1": 103}
+
+    def test_a_repeat_of_a_cut_document_names_its_line(self):
+        # d0001 scored lowest and was cut when the first block ended
+        lines = [run_line("q1", f"d{i:04d}", i) for i in range(1, 1101)]
+        lines += [run_line("q2", "x", 1), run_line("q1", "new", 7), run_line("q1", "d0001", 9)]
+        message = "line 1103: duplicate document 'd0001' for query 'q1'"
+        with pytest.raises(RunParseError) as expected:
+            oracles.parse_run_reference(lines)
+        assert str(expected.value) == message
+        source = CountingLines([*lines, *(run_line("q3", f"d{i}", 1) for i in range(100))])
+        with pytest.raises(RunParseError) as got:
+            parse_run(source)
+        assert str(got.value) == message
+        assert source.taken == 1103
+
+    def test_signed_zeros_tie_across_a_block_boundary(self):
+        # the top 1000 ends among tied zeros, so doc ids decide which ones are cut
+        first = [run_line("q1", f"d{i:04d}", "-0.0" if i % 2 else "0") for i in range(1000)]
+        first += [run_line("q1", "up", "0.5")]
+        later = [run_line("q1", "c0000", "0.000"), run_line("q1", "c0001", "-0"),
+                 run_line("q1", "e0000", "0.0"), run_line("q1", "down", "-0.5")]
+        lines = first + [run_line("q2", "x", "-0.0")] + later
+        run = assert_read_as_by_the_reference(lines)
+        assert run.rankings["q1"][:4] == ("up", "c0000", "c0001", "d0000")
+        assert run.rankings["q1"][-1] == "d0996"
+        assert run.cut == {"q1": 5}
+
+
+def parse_excess(lines):
+    """tracemalloc's peak while ``lines`` are parsed, over the memory still held after."""
+    parse_run(lines)  # what a first call loads is not counted below
+    tracemalloc.start()
+    try:
+        run = parse_run(lines)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.rankings  # held includes the run
+    return peak - held
+
+
+def test_peak_is_one_block_not_the_file():
+    # 30 contiguous queries of 1,100 documents; the lowest 100 of each are cut
+    def block(q):
+        return [f"q{q:02d} Q0 doc-{q:02d}-{d:05d} {d} {d * 7919 % 1100 / 8} t" for d in range(1100)]
+
+    lines = [line for q in range(30) for line in block(q)]
+    one_block = parse_excess(block(0))
+    # until the file ends, each ranked query keeps 8 bytes per ranked document and its cut ids,
+    # plus the headers of what holds them
+    kept = 30 * (8 * EVALUATION_DEPTH + 100 * (8 + sys.getsizeof("doc-00-00000")) + 256)
+    assert parse_excess(lines) <= 2 * one_block + kept
+
+
 class TestParseQrels:
     def test_empty_source(self):
         assert parse_qrels([]).grades == {}
@@ -682,8 +771,17 @@ def near_depth(grade):
     return RunList({"q": ranking}), qrels_of("q", {f"d{rank}": grade for rank in ranks})
 
 
+def at_depth(run):
+    """``run`` with each ranking cut to :data:`EVALUATION_DEPTH`, as ``parse_run`` cuts it."""
+    return RunList({qid: ranking[:EVALUATION_DEPTH] for qid, ranking in run.rankings.items()})
+
+
 class TestJudgedRankWalk:
-    """The walk over judged ranks gives the six floats of the full walk it replaced, exactly."""
+    """The walk over judged ranks gives the six floats of the full walk it replaced, exactly.
+
+    The full walk read every rank it was given; the measures read the first
+    :data:`EVALUATION_DEPTH` alone, so it is given the ranking cut there.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(walk_instances())
@@ -695,20 +793,25 @@ class TestJudgedRankWalk:
         run, qrels = instance
         got = evaluate_query(run, qrels, "q")
         assert list(got) == list(METRICS)
-        assert got == oracles.evaluate_query_reference(run, qrels, "q")
+        assert got == oracles.evaluate_query_reference(at_depth(run), qrels, "q")
 
     @pytest.mark.parametrize("grade", GRADES)
     def test_ranks_past_the_depth_add_no_gain(self, grade):
         run, qrels = near_depth(grade)
         got = evaluate_query(run, qrels, "q")
-        assert got == oracles.evaluate_query_reference(run, qrels, "q")
+        assert got == oracles.evaluate_query_reference(at_depth(run), qrels, "q")
         assert got["ndcg"] == ndcg_at(run, qrels, "q", EVALUATION_DEPTH)
         assert got["ndcg10"] == ndcg_at(run, qrels, "q", 10)
         if grade:
-            # the walk goes on past the depth for the other measures, as the full walk did
+            # every measure stops at the depth: ranks 1001-1100 are not retrieved for map either
             assert got["map"] == pytest.approx(sum(n / rank for n, rank in enumerate(
-                (1, 10, 11, 999, 1000, 1001, 1002, 1100), start=1)) / 8, abs=TOL)
+                (1, 10, 11, 999, 1000), start=1)) / 8, abs=TOL)
             assert got["ndcg"] < 1.0
+
+    def test_a_document_past_the_depth_is_not_retrieved(self):
+        ranking = [f"d{rank}" for rank in range(1, 1102)]
+        got = evaluate_query(run_of("q", ranking), qrels_of("q", {"d1": 0, "d1001": 1}), "q")
+        assert got == dict.fromkeys(METRICS, 0.0)
 
     def test_a_query_neither_ranked_nor_judged_scores_zero(self):
         got = evaluate_query(run_of("q", ["a"]), qrels_of("q", {"a": 3}), "absent")
