@@ -7,9 +7,10 @@ documents, and a ranking keeps their doc ids alone.  Judgments (``qid 0
 docid grade``) carry grades 0-3 read as gains 0/1/2/3; binary metrics
 treat grade > 0 as relevant.
 Each file is read in one pass, one line at a time, and each query of a run
-is ranked when its block of lines ends: only that block's scores are held,
-plus, for a query whose lines resume later, its top scores (8 bytes each)
-and the doc ids it cut.
+is ranked when its first block of lines ends.  Until the file ends, every
+ranked query keeps its top scores (8 bytes each) and the doc ids it cut, so
+that a later block of it can be merged; a query whose lines do resume is
+held open from then on and ranked once more when the file ends.
 
 Six effectiveness measures are computed per query, all in one walk of its
 judged ranks by :func:`evaluate_query`, and averaged over every judged query:
@@ -118,8 +119,7 @@ def _rank_block(docs: Mapping[str, float]) -> tuple[tuple[str, ...], bytes, list
             pack(f"{len(scores)}d", *scores), list(map(itemgetter(1), ordered[EVALUATION_DEPTH:])))
 
 
-def _reopened(ranking: Sequence[str] = (), scores: bytes = b"",
-              cut: Iterable[str] = ()) -> dict[str, float]:
+def _reopened(ranking: Sequence[str], scores: bytes, cut: Iterable[str]) -> dict[str, float]:
     """A ranked query's documents again: its kept scores, then its cut ids after every score.
 
     Every cut document scored no better than the whole kept top, so at
@@ -133,11 +133,16 @@ def _reopened(ranking: Sequence[str] = (), scores: bytes = b"",
 def parse_run(source: Source) -> RunList:
     """Parse a run file; duplicate documents within a query are rejected.
 
-    Each query is ranked when its block of lines ends; until the file ends it
-    keeps what :func:`_reopened` needs to merge a later block of it exactly.
+    Each query is ranked when its first block of lines ends; until the file
+    ends it keeps what :func:`_reopened` needs to merge a later block of it
+    exactly.  A query whose lines resume is reopened once and stays open: it
+    is ranked again only when the file ends, so no query is ranked more than
+    twice however its lines interleave.
     """
     blocks: dict[str, tuple[tuple[str, ...], bytes, list[str]]] = {}  # query id -> _rank_block
+    resumed: dict[str, dict[str, float]] = {}  # query id -> its open documents
     last = per_query = None
+    fresh = False  # the current block is its query's first
     with reading(source, RunParseError) as lines:
         for number, fields in enumerate(map(str.split, lines), start=1):
             try:
@@ -155,14 +160,22 @@ def parse_run(source: Source) -> RunList:
             if qid != last:  # a block of the previous query ends here
                 if qid == SUMMARY_ID:
                     raise RunParseError(f"line {number}: query id {qid!r} names the summary rows")
-                if last is not None:
+                if fresh:
                     blocks[last] = _rank_block(per_query)
-                last, per_query = qid, _reopened(*blocks.get(qid, ()))
+                last, per_query, fresh = qid, resumed.get(qid), False
+                if per_query is None:
+                    if qid in blocks:  # its lines resume: held open until the file ends
+                        per_query = resumed[qid] = _reopened(*blocks[qid])
+                    else:
+                        per_query, fresh = {}, True
             if docid in per_query:
                 raise RunParseError(f"line {number}: duplicate document {docid!r} for query {qid!r}")
             per_query[docid] = score
-    if last is not None:
+    if fresh:
         blocks[last] = _rank_block(per_query)
+    while resumed:  # an open query's scores are freed once it is ranked
+        qid, docs = resumed.popitem()
+        blocks[qid] = _rank_block(docs)
     return RunList({qid: ranking for qid, (ranking, _, _) in blocks.items()},
                    {qid: len(cut) for qid, (_, _, cut) in blocks.items() if cut})
 

@@ -15,6 +15,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyrep import ireval
 from polyrep.combine import (
     CombinationOrder,
     CombinationResult,
@@ -208,6 +209,15 @@ class TestResumedQueries:
         assert "late-cut" not in ranking and ranking[-1] == "d0103"
         assert run.cut == {"q1": 103}
 
+    def test_documents_cut_below_zero_stay_cut(self):
+        # every score is negative: a cut document goes back after every kept one, not to 0
+        first = [run_line("q1", f"d{i:04d}", -i) for i in range(1, 1101)]  # d1001..d1100 cut
+        lines = first + [run_line("q2", "x", 1), run_line("q1", "late", -0.5)]
+        run = assert_read_as_by_the_reference(lines)
+        assert run.rankings["q1"][:2] == ("late", "d0001")
+        assert run.rankings["q1"][-1] == "d0999"
+        assert run.cut == {"q1": 101}
+
     def test_a_repeat_of_a_cut_document_names_its_line(self):
         # d0001 scored lowest and was cut when the first block ended
         lines = [run_line("q1", f"d{i:04d}", i) for i in range(1, 1101)]
@@ -233,6 +243,20 @@ class TestResumedQueries:
         assert run.rankings["q1"][:4] == ("up", "c0000", "c0001", "d0000")
         assert run.rankings["q1"][-1] == "d0996"
         assert run.cut == {"q1": 5}
+
+    def test_interleaved_lines_rank_each_query_at_most_twice(self, monkeypatch):
+        # in rank order every line opens and closes a block of its query; each query is
+        # ranked when its first block ends, then held open and ranked once more at the end
+        rank_block, calls = ireval._rank_block, []
+        monkeypatch.setattr(ireval, "_rank_block", lambda docs: calls.append(1) or rank_block(docs))
+        lines = [run_line(f"q{q}", f"d{rank:04d}", -rank) for rank in range(1100) for q in range(3)]
+        lines.append(run_line("q1", "d1050", 1))  # cut once the file ends
+        with pytest.raises(RunParseError, match="line 3301: duplicate document 'd1050'"):
+            parse_run(lines)
+        calls.clear()
+        run = assert_read_as_by_the_reference(lines[:-1])
+        assert run.cut == {"q0": 100, "q1": 100, "q2": 100}
+        assert len(calls) == 6
 
 
 def parse_excess(lines):
