@@ -1,16 +1,17 @@
 """Retrieval-run evaluation against graded judgments, plus rank correlation.
 
 Runs use the standard six-column interchange format (``qid Q0 docid rank
-score tag``); ranks are recomputed from the scores so the rank column in
-the file is never trusted.  Scores are read only to order each query's
-documents, and a ranking keeps their doc ids alone.  Judgments (``qid 0
-docid grade``) carry grades 0-3 read as gains 0/1/2/3; binary metrics
-treat grade > 0 as relevant.
-Each file is read in one pass, one line at a time, and each query of a run
-is ranked when its first block of lines ends.  Until the file ends, every
-ranked query keeps its top scores (8 bytes each) and the doc ids it cut, so
-that a later block of it can be merged; a query whose lines do resume is
-held open from then on and ranked once more when the file ends.
+score tag``); ranks are recomputed from the scores, so the rank column is
+never trusted.  Scores are read only to order each query's documents, and
+a ranking keeps its doc ids alone, joined by spaces: as each came from
+``str.split``, none holds whitespace and ``split`` gives them back exactly.
+Judgments (``qid 0 docid grade``) carry grades 0-3 read as gains 0/1/2/3;
+binary metrics treat grade > 0 as relevant.  Each file is read in one pass,
+and each query of a run is ranked when its first block of lines ends.
+Until the file ends, every ranked query keeps its top scores (8 bytes each)
+and its cut doc ids as one string, so that a later block of it can be
+merged; a query whose lines do resume is held open from then on and ranked
+once more when the file ends.
 
 Six effectiveness measures are computed per query, all in one walk of its
 judged ranks by :func:`evaluate_query`, and averaged over every judged query:
@@ -22,26 +23,24 @@ correlation functions read only the fields of the results they are given.
 
 :func:`spearman` is the rank correlation used to relate fused-opinion
 components to per-query effectiveness; :func:`correlation_table` ranks
-each vector once for every cell.  Ranks are tie-averaged; averaged ranks
-are exact half-integers, so the correlation is evaluated in integer
-arithmetic and perfectly concordant and discordant inputs give exactly +/-1.0.
-Doubled ranks always sum to n(n+1), so each rank vector's variance term is
-computed once, and each cell needs one integer dot product.  A NaN or
-infinite value is rejected, naming its vector.  A plot file's two columns
-are each formatted once per vector by :func:`plot_column`, and
-:func:`write_plot_data` joins them into the file's text.
+each vector once for every cell.  Ranks are tie-averaged and doubled, so
+they are integers summing to n(n+1): each vector's variance term is
+computed once, each cell needs one integer dot product, and perfectly
+concordant and discordant inputs give exactly +/-1.0.  A NaN or infinite
+value is rejected, naming its vector.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from itertools import compress, groupby
 from operator import add, attrgetter, itemgetter, mul
 from struct import pack
 from types import MappingProxyType
-from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, NamedTuple
 
 from .textprep import Source, _decimal, reading
 
@@ -102,44 +101,61 @@ class Qrels(NamedTuple):
 class RunList(NamedTuple):
     """Per query, its doc ids in rank order: descending score, doc id breaking ties.
 
-    The scores themselves are not kept.  ``cut`` counts, for each query that
-    retrieved more than :data:`EVALUATION_DEPTH` documents, how many were
-    dropped from its ranking.
+    The scores are not kept, and :func:`parse_run` holds each ranking as one
+    string of its doc ids; until the file ends, each ranked query also keeps
+    8 bytes per top score and its cut doc ids as one string.  ``cut`` counts,
+    for each query that retrieved more than :data:`EVALUATION_DEPTH` documents,
+    how many were dropped from its ranking.
     """
 
     rankings: Mapping[str, tuple[str, ...]]
     cut: Mapping[str, int] = MappingProxyType({})
 
 
-def _rank_block(docs: Mapping[str, float]) -> tuple[tuple[str, ...], bytes, list[str]]:
-    """A query's ranking, its top negated scores as packed doubles, and the doc ids it cut."""
+class _Rankings(Mapping):
+    """Query id -> ranking held as its doc ids joined by spaces; reads as the dict of tuples."""
+
+    __slots__ = ("_joined",)
+
+    def __init__(self, joined: dict[str, str]) -> None:
+        self._joined = joined
+
+    def __getitem__(self, qid: str) -> tuple[str, ...]:
+        return tuple(self._joined[qid].split())
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._joined)
+
+    def __len__(self) -> int:
+        return len(self._joined)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _rank_block(docs: Mapping[str, float]) -> tuple[str, bytes, str]:
+    """A query's ranking, its top negated scores as packed doubles, and its cut doc ids."""
     ordered = sorted(zip(docs.values(), docs))  # (-score, docid), built in C
     scores = sorted(docs.values())[:EVALUATION_DEPTH]  # in rank order; a tied 0.0 and -0.0 may swap
-    return (tuple(map(itemgetter(1), ordered[:EVALUATION_DEPTH])),
-            pack(f"{len(scores)}d", *scores), list(map(itemgetter(1), ordered[EVALUATION_DEPTH:])))
+    return (" ".join(map(itemgetter(1), ordered[:EVALUATION_DEPTH])),
+            pack(f"{len(scores)}d", *scores),
+            " ".join(map(itemgetter(1), ordered[EVALUATION_DEPTH:])))
 
 
-def _reopened(ranking: Sequence[str], scores: bytes, cut: Iterable[str]) -> dict[str, float]:
-    """A ranked query's documents again: its kept scores, then its cut ids after every score.
-
-    Every cut document scored no better than the whole kept top, so at
-    ``math.inf`` it still ranks after all of it, and it still counts as a repeat.
-    """
-    docs = dict.fromkeys(cut, math.inf)
-    docs.update(zip(ranking, memoryview(scores).cast("d")))
+def _reopened(ranking: str, scores: bytes, cut: str) -> dict[str, float]:
+    """A ranked query's documents again: kept scores, then cut ids at ``math.inf`` after them."""
+    docs = dict.fromkeys(cut.split(), math.inf)
+    docs.update(zip(ranking.split(), memoryview(scores).cast("d")))
     return docs
 
 
 def parse_run(source: Source) -> RunList:
     """Parse a run file; duplicate documents within a query are rejected.
 
-    Each query is ranked when its first block of lines ends; until the file
-    ends it keeps what :func:`_reopened` needs to merge a later block of it
-    exactly.  A query whose lines resume is reopened once and stays open: it
-    is ranked again only when the file ends, so no query is ranked more than
-    twice however its lines interleave.
+    Each query is ranked when its first block of lines ends, keeping what :func:`_reopened`
+    needs to merge a later block exactly; if its lines resume, it is ranked again at the end.
     """
-    blocks: dict[str, tuple[tuple[str, ...], bytes, list[str]]] = {}  # query id -> _rank_block
+    blocks: dict[str, tuple[str, bytes, str]] = {}  # query id -> _rank_block
     resumed: dict[str, dict[str, float]] = {}  # query id -> its open documents
     last = per_query = None
     fresh = False  # the current block is its query's first
@@ -176,8 +192,8 @@ def parse_run(source: Source) -> RunList:
     while resumed:  # an open query's scores are freed once it is ranked
         qid, docs = resumed.popitem()
         blocks[qid] = _rank_block(docs)
-    return RunList({qid: ranking for qid, (ranking, _, _) in blocks.items()},
-                   {qid: len(cut) for qid, (_, _, cut) in blocks.items() if cut})
+    return RunList(_Rankings({qid: ranking for qid, (ranking, _, _) in blocks.items()}),
+                   {qid: cut.count(" ") + 1 for qid, (_, _, cut) in blocks.items() if cut})
 
 
 def parse_qrels(source: Source) -> Qrels:
@@ -209,7 +225,7 @@ def parse_qrels(source: Source) -> Qrels:
 def _grades(run: RunList, qrels: Qrels, qid: str) -> tuple[list[int | None], list[int]]:
     """The grade at each rank (``None`` where unjudged) and the judged grades, best first."""
     judged = qrels.grades.get(qid, {})
-    ranked = list(map(judged.get, run.rankings.get(qid, ())))
+    ranked = list(map(judged.get, run.rankings.get(qid, ())[:EVALUATION_DEPTH]))
     return ranked, sorted(judged.values(), reverse=True)
 
 
@@ -292,9 +308,8 @@ class MetricReport(NamedTuple):
 def evaluate_run(run: RunList, qrels: Qrels) -> MetricReport:
     """Score every judged query; queries absent from the run score zero.
 
-    A run that retrieved nothing at all is still evaluated (every query
-    scores zero); a nonempty run sharing no query id with the judgments is
-    rejected as a likely input mix-up.
+    A run that retrieved nothing is still evaluated; a nonempty run sharing no
+    query id with the judgments is rejected as a likely input mix-up.
     """
     judged = sorted(qrels.grades)
     if not judged:
@@ -302,17 +317,14 @@ def evaluate_run(run: RunList, qrels: Qrels) -> MetricReport:
     if run.rankings and not set(judged) & set(run.rankings):
         raise NoOverlapError("run and judgments share no query id")
     per_query = {qid: evaluate_query(run, qrels, qid) for qid in judged}
-    means = {
-        metric: reduce(add, (per_query[qid][metric] for qid in judged), 0.0) / len(judged)
-        for metric in METRICS
-    }
+    means = {metric: reduce(add, (per_query[qid][metric] for qid in judged), 0.0) / len(judged)
+             for metric in METRICS}
     return MetricReport(per_query, means)
 
 
 def _average_ranks_doubled(values: Sequence[float]) -> list[int]:
     """Tie-averaged ranks, scaled by two so they stay integers."""
-    doubled = [0] * len(values)
-    start = 0
+    doubled, start = [0] * len(values), 0
     for _, tied in groupby(sorted(range(len(values)), key=values.__getitem__),
                            key=values.__getitem__):
         tied = list(tied)
@@ -326,9 +338,7 @@ def _average_ranks_doubled(values: Sequence[float]) -> list[int]:
 def _ranked(values: Sequence[float], name: str) -> tuple[list[int], int]:
     """Doubled ranks of ``values`` and their variance term, n * sum(r * r) - (n * (n + 1)) ** 2.
 
-    Doubled tie-averaged ranks always sum to n(n+1), so this term is all a
-    correlation needs of one vector besides its ranks.  A NaN or infinite
-    value raises ValueError naming ``name``: sorting with NaN is ill-defined.
+    A NaN or infinite value raises ValueError naming ``name``: sorting with NaN is ill-defined.
     """
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} holds a non-finite value")
@@ -352,10 +362,7 @@ def _rank_correlation(x: tuple[list[int], int], y: tuple[list[int], int]) -> flo
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Rank correlation with tie-averaged ranks, exact in integer arithmetic.
-
-    A NaN or infinite value raises ValueError: sorting with NaN is ill-defined.
-    """
+    """Rank correlation with tie-averaged ranks, exact in integers; NaN or inf raises ValueError."""
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     return _rank_correlation(_ranked(xs, "xs"), _ranked(ys, "ys"))
@@ -366,12 +373,10 @@ def _cell(key: tuple[str, ...]) -> str:
     return " ".join(map("=".join, zip(CORRELATION_COLUMNS, key)))
 
 
-def correlation_table(
-    results: Sequence[CombinationResult],
-    report: MetricReport,
-    components: Sequence[Component] = tuple(Component),
-    metrics: Sequence[str] = METRICS,
-) -> list[tuple[tuple[str, ...], list[float], list[float], float]]:
+def correlation_table(results: Sequence[CombinationResult], report: MetricReport,
+                      components: Sequence[Component] = tuple(Component),
+                      metrics: Sequence[str] = METRICS,
+                      ) -> list[tuple[tuple[str, ...], list[float], list[float], float]]:
     """Every (result, component, metric) cell, in that order, as (key, xs, ys, rho).
 
     ``key`` is the cell's first seven :data:`CORRELATION_COLUMNS`; ``xs`` (the
@@ -415,16 +420,11 @@ def correlation_table(
     return table
 
 
-def correlate_components(
-    result: CombinationResult,
-    report: MetricReport,
-    component: Component,
-    metric: str = "map",
-) -> float:
+def correlate_components(result: CombinationResult, report: MetricReport, component: Component,
+                         metric: str = "map") -> float:
     """Spearman correlation between a fused-opinion component and a measure.
 
-    Topic ids of the combination result and the metric report must agree
-    exactly; any id present on only one side is an error.
+    The result's and the report's topic ids must agree exactly, or it raises TopicAlignmentError.
     """
     return correlation_table([result], report, (component,), (metric,))[0][3]
 

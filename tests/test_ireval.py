@@ -1,11 +1,12 @@
 """Run/qrels parsing, the six effectiveness measures, and rank correlation."""
 
+import gc
 import io
 import math
 import os
+import pickle
 import random
 import re
-import sys
 import tracemalloc
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -99,7 +100,8 @@ class TestParseRun:
         assert parse_run(lines).rankings["q1"] == ("up", "a", "b", "c", "down")
 
     def test_a_ranking_keeps_only_its_doc_ids(self):
-        # beside each doc id one tuple slot stays live: no score and no (doc id, score) pair
+        # each doc id stays live as its characters and one separator in its ranking's string:
+        # no str object, tuple slot or score per document
         lines = [f"q{q} Q0 doc-{q}-{d:05d} {d} {d * 7919 % 1000 / 8} t"
                  for q in range(4) for d in range(1000)]
         parse_run(lines)  # what a first call loads is not counted below
@@ -113,7 +115,7 @@ class TestParseRun:
         assert all(type(ranking) is tuple for ranking in run.rankings.values())
         docids = [docid for ranking in run.rankings.values() for docid in ranking]
         assert len(docids) == 4000 and all(type(docid) is str for docid in docids)
-        assert live <= sum(map(sys.getsizeof, docids)) + 16 * len(docids) + 8192
+        assert live <= sum(len(docid) + 1 for docid in docids) + 512 * len(run.rankings)
 
     def test_duplicate_document_rejected(self):
         with pytest.raises(RunParseError, match="line 2.*duplicate"):
@@ -279,10 +281,78 @@ def test_peak_is_one_block_not_the_file():
 
     lines = [line for q in range(30) for line in block(q)]
     one_block = parse_excess(block(0))
-    # until the file ends, each ranked query keeps 8 bytes per ranked document and its cut ids,
-    # plus the headers of what holds them
-    kept = 30 * (8 * EVALUATION_DEPTH + 100 * (8 + sys.getsizeof("doc-00-00000")) + 256)
+    # until the file ends, each ranked query keeps 8 bytes per ranked document and its cut ids
+    # joined into one string, plus the headers of what holds them
+    kept = 30 * (8 * EVALUATION_DEPTH + 100 * len("doc-00-00000 ") + 256)
     assert parse_excess(lines) <= 2 * one_block + kept
+
+
+@pytest.mark.parametrize("queries, documents", [(4, 1100), (4, 2200), (16, 1100)])
+def test_a_run_holds_gc_tracked_objects_per_query_not_per_document(queries, documents):
+    # strings are not tracked by the cyclic GC, so it has no ranking's doc ids to traverse
+    lines = [run_line(f"q{q}", f"d{d:05d}", d % 997) for q in range(queries)
+             for d in range(documents)]
+    parse_run(lines)  # what a first call loads is not counted below
+    gc.collect()
+    gc.disable()  # no collection untracks what the parse leaves behind
+    try:
+        before = gc.get_objects()
+        known = set(map(id, before))
+        known.update((id(before), id(known)))
+        run = parse_run(lines)
+        held = [obj for obj in gc.get_objects() if id(obj) not in known]
+    finally:
+        gc.enable()
+    assert run.cut == {f"q{q}": documents - EVALUATION_DEPTH for q in range(queries)}
+    assert len(held) <= queries + 8
+    assert sum(len(gc.get_referents(obj)) for obj in held) <= 4 * queries + 32
+
+
+class TestRankingsMapping:
+    """``parse_run``'s rankings read, compare and print as the dict of tuples they stand for."""
+
+    LINES = [run_line("q1", "b", 2), run_line("q1", "a", 3), run_line("q2", "c", 1)]
+    EXPECTED = {"q1": ("a", "b"), "q2": ("c",)}
+
+    def test_equal_to_the_dict_of_tuples_either_way(self):
+        rankings = parse_run(self.LINES).rankings
+        assert rankings == self.EXPECTED and self.EXPECTED == rankings
+        assert rankings != {"q1": ("a", "b")} and {"q1": ("a", "b")} != rankings
+        assert rankings != {"q1": ["a", "b"], "q2": ["c"]}  # ("a", "b") != ["a", "b"]
+
+    def test_repr_is_that_of_the_run_built_from_the_dict(self):
+        assert repr(parse_run(self.LINES)) == repr(RunList(self.EXPECTED, {}))
+
+    def test_values_are_tuples(self):
+        values = list(parse_run(self.LINES).rankings.values())
+        assert values == [("a", "b"), ("c",)] and all(type(value) is tuple for value in values)
+
+    def test_lookups_behave_as_in_a_dict(self):
+        rankings = parse_run(self.LINES).rankings
+        assert rankings["q1"] == ("a", "b") and rankings.get("q2") == ("c",)
+        assert rankings.get("q9") is None and rankings.get("q9", ()) == ()
+        with pytest.raises(KeyError):
+            rankings["q9"]
+        assert "q1" in rankings and "q9" not in rankings and ("a",) not in rankings
+        assert len(rankings) == 2 and list(rankings) == ["q1", "q2"]
+        assert dict(rankings.items()) == self.EXPECTED
+
+    def test_pickles_as_an_equal_run(self):
+        run = parse_run(self.LINES)
+        assert pickle.loads(pickle.dumps(run)) == run
+
+    def test_a_non_ascii_doc_id_round_trips(self):
+        lines = [run_line("q1", "d\u00f6k-\u00fc", 2), run_line("q1", "\u6587\u66f8", 1),
+                 run_line("q1", "\U0001f4c4", 3)]
+        ranking = ("\U0001f4c4", "d\u00f6k-\u00fc", "\u6587\u66f8")
+        assert parse_run(lines).rankings == {"q1": ranking}
+
+    def test_uncut_and_resumed_queries_read_as_by_the_reference(self):
+        deep = [run_line("q2", f"e{i:04d}", i % 101) for i in range(1100)]
+        lines = deep[:700] + [run_line("q1", "x", 1), run_line("q1", "y", 2)] + deep[700:]
+        run = assert_read_as_by_the_reference(lines)
+        assert run.rankings["q1"] == ("y", "x")
+        assert run.cut == {"q2": 100}
 
 
 class TestParseQrels:
@@ -831,6 +901,11 @@ class TestJudgedRankWalk:
             assert got["map"] == pytest.approx(sum(n / rank for n, rank in enumerate(
                 (1, 10, 11, 999, 1000), start=1)) / 8, abs=TOL)
             assert got["ndcg"] < 1.0
+
+    def test_ndcg_at_any_cutoff_stops_at_the_depth(self):
+        run = run_of("q", [f"d{rank}" for rank in range(1, 1101)])
+        qrels = qrels_of("q", {"d1050": 2})
+        assert ndcg_at(run, qrels, "q", 1100) == evaluate_query(run, qrels, "q")["ndcg"] == 0.0
 
     def test_a_document_past_the_depth_is_not_retrieved(self):
         ranking = [f"d{rank}" for rank in range(1, 1102)]
