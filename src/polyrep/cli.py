@@ -217,7 +217,7 @@ def _warn(what: str, ids: list[str], count: int | None = None) -> None:
 
 def _evaluate(args: argparse.Namespace) -> MetricReport:
     """Score ``--run`` against ``--qrels``, counting on stderr what the scores leave out."""
-    from .ireval import EVALUATION_DEPTH, evaluate_run, parse_qrels, parse_run
+    from .ireval import EVALUATION_DEPTH, evaluate_run, parse_qrels, parse_run, without_relevant
     run, qrels = parse_run(args.run), parse_qrels(args.qrels)
     report = evaluate_run(run, qrels)
     _warn("run queries without judgments, not scored",
@@ -225,7 +225,7 @@ def _evaluate(args: argparse.Namespace) -> MetricReport:
     _warn("judged queries absent from the run, scored zero",
           sorted(set(qrels.grades) - set(run.rankings)))
     _warn("judged queries without a relevant document, scored zero",
-          sorted(qid for qid, judged in qrels.grades.items() if not any(judged.values())))
+          sorted(without_relevant(qrels)))
     _warn(f"documents past depth {EVALUATION_DEPTH}, not scored", sorted(run.cut),
           sum(run.cut.values()))
     return report

@@ -6,12 +6,13 @@ never trusted.  Scores are read only to order each query's documents, and
 a ranking keeps its doc ids alone, joined by spaces: as each came from
 ``str.split``, none holds whitespace and ``split`` gives them back exactly.
 Judgments (``qid 0 docid grade``) carry grades 0-3 read as gains 0/1/2/3;
-binary metrics treat grade > 0 as relevant.  Each file is read in one pass,
-and each query of a run is ranked when its first block of lines ends.
-Until the file ends, every ranked query keeps its top scores (8 bytes each)
-and its cut doc ids as one string, so that a later block of it can be
-merged; a query whose lines do resume is held open from then on and ranked
-once more when the file ends.
+binary metrics treat grade > 0 as relevant.  A query's judgments are held
+as its doc ids joined by spaces plus one byte per grade.  Each file is read
+in one pass, and each query is packed (a run's ranked) when its first block
+of lines ends.  Until the file ends, every ranked query of a run keeps its
+top scores (8 bytes each) and its cut doc ids as one string, so that a
+later block of it can be merged; a query whose lines do resume is unpacked,
+held open from then on and packed once more when the file ends.
 
 Six effectiveness measures are computed per query, all in one walk of its
 judged ranks by :func:`evaluate_query`, and averaged over every judged query:
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from itertools import compress, groupby
 from operator import add, attrgetter, itemgetter, mul
@@ -93,7 +94,11 @@ class Component(enum.Enum):
 
 
 class Qrels(NamedTuple):
-    """Graded judgments: query id -> document id -> grade in 0..3."""
+    """Graded judgments: query id -> document id -> grade in 0..3.
+
+    :func:`parse_qrels` holds each query's judgments as one string of its doc ids and one
+    ``bytes`` of their grades, and a lookup gives the dict of them.
+    """
 
     grades: Mapping[str, Mapping[str, int]]
 
@@ -112,25 +117,41 @@ class RunList(NamedTuple):
     cut: Mapping[str, int] = MappingProxyType({})
 
 
-class _Rankings(Mapping):
-    """Query id -> ranking held as its doc ids joined by spaces; reads as the dict of tuples."""
+class _Packed(Mapping):
+    """Query id -> packed value, read through ``unpack`` (module-level, so it pickles)."""
 
-    __slots__ = ("_joined",)
+    __slots__ = ("_packed", "_unpack")
 
-    def __init__(self, joined: dict[str, str]) -> None:
-        self._joined = joined
+    def __init__(self, packed: dict[str, object], unpack: Callable[[object], object]) -> None:
+        self._packed, self._unpack = packed, unpack
 
-    def __getitem__(self, qid: str) -> tuple[str, ...]:
-        return tuple(self._joined[qid].split())
+    def __getitem__(self, qid: str) -> object:
+        return self._unpack(self._packed[qid])
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._joined)
+        return iter(self._packed)
 
     def __len__(self) -> int:
-        return len(self._joined)
+        return len(self._packed)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
+
+
+def _ranking(joined: str) -> tuple[str, ...]:
+    """A ranking's doc ids from their space-joined string."""
+    return tuple(joined.split())
+
+
+def _judgments(packed: tuple[str, bytes]) -> dict[str, int]:
+    """A query's doc id -> grade from :func:`_pack_judgments`."""
+    ids, grades = packed
+    return dict(zip(ids.split(), grades))
+
+
+def _pack_judgments(judged: dict[str, int]) -> tuple[str, bytes]:
+    """A query's judged doc ids joined by spaces, and their grades as one byte each."""
+    return " ".join(judged), bytes(judged.values())
 
 
 def _rank_block(docs: Mapping[str, float]) -> tuple[str, bytes, str]:
@@ -192,14 +213,20 @@ def parse_run(source: Source) -> RunList:
     while resumed:  # an open query's scores are freed once it is ranked
         qid, docs = resumed.popitem()
         blocks[qid] = _rank_block(docs)
-    return RunList(_Rankings({qid: ranking for qid, (ranking, _, _) in blocks.items()}),
+    return RunList(_Packed({qid: ranking for qid, (ranking, _, _) in blocks.items()}, _ranking),
                    {qid: cut.count(" ") + 1 for qid, (_, _, cut) in blocks.items() if cut})
 
 
 def parse_qrels(source: Source) -> Qrels:
-    """Parse graded judgments; one grade per (query, document) pair."""
-    grades: dict[str, dict[str, int]] = {}
+    """Parse graded judgments; one grade per (query, document) pair.
+
+    Each query is packed when its first block of lines ends; if its lines resume, it is
+    unpacked once, held open and packed again at the end, as :func:`parse_run` ranks.
+    """
+    blocks: dict[str, tuple[str, bytes]] = {}  # query id -> _pack_judgments
+    resumed: dict[str, dict[str, int]] = {}  # query id -> its open judgments
     last = per_query = None
+    fresh = False  # the current block is its query's first
     with reading(source, QrelsParseError) as lines:
         for number, fields in enumerate(map(str.split, lines), start=1):
             try:
@@ -212,14 +239,33 @@ def parse_qrels(source: Source) -> Qrels:
             if grade is None:
                 raise QrelsParseError(
                     f"line {number}: grade must be one of {GRADES}, got {grade_text!r}")
-            if qid != last:
+            if qid != last:  # a block of the previous query ends here
                 if qid == SUMMARY_ID:
                     raise QrelsParseError(f"line {number}: query id {qid!r} names the summary rows")
-                last, per_query = qid, grades.setdefault(qid, {})
+                if fresh:
+                    blocks[last] = _pack_judgments(per_query)
+                last, per_query, fresh = qid, resumed.get(qid), False
+                if per_query is None:
+                    if qid in blocks:  # its lines resume: held open until the file ends
+                        per_query = resumed[qid] = _judgments(blocks[qid])
+                    else:
+                        per_query, fresh = {}, True
             if docid in per_query:
                 raise QrelsParseError(f"line {number}: duplicate judgment for {qid!r}/{docid!r}")
             per_query[docid] = grade
-    return Qrels(grades)
+    if fresh:
+        blocks[last] = _pack_judgments(per_query)
+    while resumed:  # an open query's dict is freed once it is packed
+        qid, judged = resumed.popitem()
+        blocks[qid] = _pack_judgments(judged)
+    return Qrels(_Packed(blocks, _judgments))
+
+
+def without_relevant(qrels: Qrels) -> list[str]:
+    """The query ids, in order, that judge no document relevant; parsed ones are not unpacked."""
+    if type(qrels.grades) is _Packed:
+        return [qid for qid, (_, grades) in qrels.grades._packed.items() if not any(grades)]
+    return [qid for qid, judged in qrels.grades.items() if not any(judged.values())]
 
 
 def _grades(run: RunList, qrels: Qrels, qid: str) -> tuple[list[int | None], list[int]]:

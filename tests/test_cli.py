@@ -718,6 +718,18 @@ class TestJudgedQueriesWithoutRelevant:
         assert reports["plain stderr"] == ""
         assert reports["warned stderr"].splitlines() == [self.WARNING]
 
+    def test_each_query_is_decoded_once(self, tmp_path, capsys, monkeypatch):
+        # one lookup per judged query in the scoring; the warning reads the packed grades
+        judgments, calls = ireval._judgments, []
+        monkeypatch.setattr(ireval, "_judgments",
+                            lambda packed: calls.append(packed) or judgments(packed))
+        _, run, qrels = write_concordant_fixture(tmp_path)
+        qrels.write_text("q1 0 d1 1\nq1 0 d2 1\nq2 0 e1 0\nq2 0 e2 0\n")
+        argv = ["evaluate", "--run", str(run), "--qrels", str(qrels), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [self.WARNING]
+        assert len(calls) == 2
+
 
 class TestCutDocuments:
     @pytest.fixture

@@ -355,6 +355,124 @@ class TestRankingsMapping:
         assert run.cut == {"q2": 100}
 
 
+def qrels_line(qid, docid, grade):
+    return f"{qid} 0 {docid} {grade}"
+
+
+class TestJudgmentsMapping:
+    """``parse_qrels``'s judgments read, compare and print as the dict of dicts they stand for."""
+
+    LINES = [qrels_line("q1", "b", 0), qrels_line("q1", "a", 3), qrels_line("q2", "c", 1)]
+    EXPECTED = {"q1": {"b": 0, "a": 3}, "q2": {"c": 1}}
+
+    def test_equal_to_the_dict_of_dicts_either_way(self):
+        grades = parse_qrels(self.LINES).grades
+        assert grades == self.EXPECTED and self.EXPECTED == grades
+        assert grades != {"q1": {"b": 0, "a": 3}} and {"q1": {"b": 0, "a": 3}} != grades
+        assert grades != {"q1": {"b": 0, "a": 2}, "q2": {"c": 1}}
+
+    def test_repr_is_that_of_the_judgments_built_from_the_dict(self):
+        assert repr(parse_qrels(self.LINES)) == repr(Qrels(self.EXPECTED))
+
+    def test_values_are_dicts_in_file_order(self):
+        values = list(parse_qrels(self.LINES).grades.values())
+        assert values == [{"b": 0, "a": 3}, {"c": 1}]
+        assert all(type(value) is dict for value in values)
+        assert [list(value) for value in values] == [["b", "a"], ["c"]]
+
+    def test_lookups_behave_as_in_a_dict(self):
+        grades = parse_qrels(self.LINES).grades
+        assert grades["q1"] == {"b": 0, "a": 3} and grades.get("q2") == {"c": 1}
+        assert grades.get("q9") is None and grades.get("q9", {}) == {}
+        with pytest.raises(KeyError):
+            grades["q9"]
+        assert "q1" in grades and "q9" not in grades and ("q1",) not in grades
+        assert len(grades) == 2 and list(grades) == ["q1", "q2"]
+        assert dict(grades.items()) == self.EXPECTED
+
+    def test_pickles_as_equal_judgments(self):
+        qrels = parse_qrels(self.LINES)
+        again = pickle.loads(pickle.dumps(qrels))
+        assert again == qrels and repr(again) == repr(qrels)
+
+    def test_a_non_ascii_doc_id_round_trips(self):
+        lines = [qrels_line("q1", "d\u00f6k-\u00fc", 2), qrels_line("q1", "\u6587\u66f8", 0),
+                 qrels_line("q1", "\U0001f4c4", 3)]
+        judged = {"d\u00f6k-\u00fc": 2, "\u6587\u66f8": 0, "\U0001f4c4": 3}
+        assert parse_qrels(lines).grades == {"q1": judged}
+
+    def test_a_resumed_query_reads_as_by_the_reference(self):
+        deep = [qrels_line("q2", f"e{i:03d}", i % 4) for i in range(300)]
+        lines = (deep[:200] + [qrels_line("q1", "x", 0), qrels_line("q1", "y", 2)] + deep[200:]
+                 + [qrels_line("q1", "z", 1)])
+        got, expected = parse_qrels(lines), oracles.parse_qrels_reference(lines)
+        assert got == expected and repr(got) == repr(expected)
+        assert list(got.grades["q1"].items()) == [("x", 0), ("y", 2), ("z", 1)]
+
+    @pytest.mark.parametrize("built", [False, True], ids=["parsed", "built from dicts"])
+    def test_queries_without_relevant_read_alike_either_way(self, built):
+        lines = [qrels_line("q3", "a", 0), qrels_line("q1", "a", 0), qrels_line("q2", "a", 0),
+                 qrels_line("q1", "b", 1), qrels_line("q3", "b", 0)]
+        qrels = parse_qrels(lines)
+        if built:
+            qrels = Qrels({qid: dict(judged) for qid, judged in qrels.grades.items()})
+        assert ireval.without_relevant(qrels) == ["q3", "q2"]
+
+
+def test_judgments_keep_their_doc_ids_and_a_byte_per_grade():
+    # each judgment stays live as its doc id's characters, one separator and one grade byte:
+    # no str object, dict slot or int per judgment
+    lines = [qrels_line(f"q{q}", f"doc-{q}-{d:05d}", d % 4) for q in range(4) for d in range(1000)]
+    parse_qrels(lines)  # what a first call loads is not counted below
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        qrels = parse_qrels(lines)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    docids = [docid for judged in qrels.grades.values() for docid in judged]
+    assert len(docids) == 4000 and all(type(docid) is str for docid in docids)
+    assert live <= sum(len(docid) + 2 for docid in docids) + 512 * len(qrels.grades)
+
+
+@pytest.mark.parametrize("queries, judgments", [(4, 300), (4, 600), (16, 300)])
+def test_judgments_hold_gc_tracked_objects_per_query_not_per_judgment(queries, judgments):
+    lines = [qrels_line(f"q{q}", f"d{d:05d}", d % 4) for q in range(queries)
+             for d in range(judgments)]
+    parse_qrels(lines)  # what a first call loads is not counted below
+    gc.collect()
+    gc.disable()  # no collection untracks what the parse leaves behind
+    try:
+        before = gc.get_objects()
+        known = set(map(id, before))
+        known.update((id(before), id(known)))
+        qrels = parse_qrels(lines)
+        held = [obj for obj in gc.get_objects() if id(obj) not in known]
+    finally:
+        gc.enable()
+    assert len(qrels.grades) == queries
+    assert len(held) <= queries + 8
+    assert sum(len(gc.get_referents(obj)) for obj in held) <= 4 * queries + 32
+
+
+def test_interleaved_judgments_pack_each_query_at_most_twice(monkeypatch):
+    # sorted by doc id every line opens and closes a block of its query; each query is
+    # packed when its first block ends, then held open and packed once more at the end
+    pack_judgments, calls = ireval._pack_judgments, []
+    monkeypatch.setattr(ireval, "_pack_judgments",
+                        lambda judged: calls.append(1) or pack_judgments(judged))
+    lines = sorted((qrels_line(f"q{q}", f"d{d:04d}", (d + q) % 4)
+                    for q in range(3) for d in range(300)), key=lambda line: line.split()[2])
+    lines.append(qrels_line("q1", "d0150", 0))
+    with pytest.raises(QrelsParseError, match="^line 901: duplicate judgment for 'q1'/'d0150'$"):
+        parse_qrels(lines)
+    calls.clear()
+    got, expected = parse_qrels(lines[:-1]), oracles.parse_qrels_reference(lines[:-1])
+    assert got == expected and repr(got) == repr(expected)
+    assert len(calls) == 6
+
+
 class TestParseQrels:
     def test_empty_source(self):
         assert parse_qrels([]).grades == {}
