@@ -6,8 +6,10 @@ interpreters in two places only, ``~/.pyenv/versions/*/bin/python3`` and
 ``python3.1x`` on ``PATH``, keeps one per minor version other than the
 running one, and runs the four commands on the bundled fixture under each
 with ``PYTHONPATH=src`` (no pytest needed there).  The outputs are checked
-against the TSV goldens and ``data/output_digests.json``.  It skips when no
-such interpreter is found.
+against the TSV goldens and ``data/output_digests.json``.  ``evaluate`` also
+runs with ``-W error`` on a generated run large enough to be read in two
+processes, and writes the same ``metrics.tsv`` as under the running
+interpreter.  It skips when no such interpreter is found.
 """
 
 import json
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from polyrep.ireval import _SPLIT_BYTES
 from test_output_digests import (
     CORRELATE,
     STDOUT_REPORTS,
@@ -98,3 +101,49 @@ def test_fixture_outputs_match_under_other_interpreter(python, tmp_path):
     assert _correlate_dir_digests(tmp_path / "tsv") == _expected("correlate")
     assert _sha256((tmp_path / "obj" / "correlations.json").read_bytes()) == _expected(
         "correlate_obj_json")
+
+
+# Counts the forks of one CLI command, then prints its exit status and that count.
+_COUNTING_FORKS = """
+import os, sys
+fork, forks = os.fork, []
+def counting_fork():
+    forks.append(1)
+    return fork()
+os.fork = counting_fork
+from polyrep.cli import main
+status = main(sys.argv[1:])
+print(status, len(forks))
+"""
+
+
+@pytest.fixture(scope="module")
+def large_run(tmp_path_factory):
+    """A run above ``ireval._SPLIT_BYTES`` (90 queries of 1,100 documents) and its judgments."""
+    directory = tmp_path_factory.mktemp("large")
+    run, qrels = directory / "run.txt", directory / "qrels.txt"
+    scores = ((q, d, (q * 7919 + d * 104729) % 10007 / 1000) for q in range(90)
+              for d in range(1100))
+    run.write_text("".join(f"q{q:02d} Q0 D{q:02d}{d:05d} 0 {score:.3f} t\n"
+                           for q, d, score in scores), encoding="utf-8")
+    qrels.write_text("".join(f"q{q:02d} 0 D{q:02d}{d:05d} {d % 4}\n"
+                             for q in range(90) for d in range(0, 900, 3)), encoding="utf-8")
+    assert run.stat().st_size >= _SPLIT_BYTES
+    return run, qrels
+
+
+def _evaluate(python, run, qrels, out):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([python, "-W", "error", "-c", _COUNTING_FORKS, "evaluate", "--run",
+                           str(run), "--qrels", str(qrels), "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr, (out / "metrics.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("python", _INTERPRETERS)
+def test_two_process_read_matches_under_other_interpreter(python, large_run, tmp_path):
+    expected = _evaluate(sys.executable, *large_run, tmp_path / "here")
+    # the run is read in two processes where two CPUs are usable; the judgments are small
+    forks = int(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
+    assert expected[:2] == (0, f"0 {forks}\n")
+    assert _evaluate(python, *large_run, tmp_path / "there") == expected
