@@ -34,7 +34,7 @@ from .evidence import (
     recommendation_evidence,
 )
 from .opinions import EvidenceCounts, Opinion, consensus, expectation, from_evidence, recommendation
-from .textprep import PrepLevel, Source, Stems, TermSet, reading, term_sets, tokenize
+from .textprep import PrepLevel, Source, Stems, TermSet, reading, term_sets
 
 #: The four context representations combined pairwise; the keyword
 #: representation always plays the role of the query.
@@ -145,9 +145,10 @@ class CombinationResult(NamedTuple):
     aggregate_probability: float
 
 
-def _evidence(sets: dict[str, TermSet], spec: CombinationSpec,
+def _evidence(by_text: dict[str, dict[PrepLevel, TermSet]], spec: CombinationSpec,
               positive_rule: PositiveRule) -> EvidencePair:
-    set_a, set_b, query = sets[spec.rep_a], sets[spec.rep_b], sets["keywords"]
+    set_a, set_b = by_text[spec.rep_a][spec.level], by_text[spec.rep_b][spec.level]
+    query = by_text["keywords"][spec.level]
     if spec.operator is FusionOperator.CONSENSUS:
         return consensus_evidence(set_a, set_b, query, positive_rule)
     return recommendation_evidence(set_a, set_b, query)
@@ -163,10 +164,13 @@ def _fuse(opinion_a: Opinion, opinion_b: Opinion, spec: CombinationSpec) -> Opin
 
 def combine_topic(topic: Topic, spec: CombinationSpec, alpha: float = DEFAULT_ALPHA,
                   positive_rule: PositiveRule = PositiveRule.UNION) -> tuple[Opinion, float]:
-    """Fuse one topic's pair under the run's alpha and rule; returns (opinion, expectation)."""
-    names = ("keywords", spec.rep_a, spec.rep_b)
-    pair = _evidence({name: tokenize(getattr(topic, name), spec.level) for name in names}, spec,
-                     positive_rule)
+    """Fuse one topic's pair under the run's alpha and rule; returns (opinion, expectation).
+
+    Term sets come from :func:`topic_term_sets` and ``positive_rule`` is read as
+    :func:`run_matrix` reads it: a :class:`PositiveRule` or its value, else ValueError.
+    """
+    _, by_text = next(topic_term_sets([topic], (spec.level,)))
+    pair = _evidence(by_text, spec, PositiveRule(positive_rule))
     fused = _fuse(from_evidence(pair.for_a, alpha), from_evidence(pair.for_b, alpha), spec)
     return fused, expectation(fused)
 
@@ -227,10 +231,8 @@ def run_matrix(
                                       key=lambda spec: (spec.rep_a, spec.rep_b, spec.operator))]
     opinion = cache(lambda counts: from_evidence(counts, alpha))
     for topic, by_text in topic_term_sets(topics, levels):
-        sets = {level: {name: level_sets[level] for name, level_sets in by_text.items()}
-                for level in levels}
         for cells, sums in groups:  # a group's cells share level, pair and operator
-            pair = _evidence(sets[cells[0][0].level], cells[0][0], positive_rule)
+            pair = _evidence(by_text, cells[0][0], positive_rule)
             opinion_a, opinion_b = opinion(pair.for_a), opinion(pair.for_b)
             for spec, entries in cells:
                 fused = _fuse(opinion_a, opinion_b, spec)

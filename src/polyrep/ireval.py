@@ -19,13 +19,15 @@ and sends its queries back through a pipe.  That result is kept only when
 both parts were read without error and no query is in both; otherwise the
 whole file is read again in one process, so results and errors never differ.
 
-Six effectiveness measures are computed per query, all in one walk of its
-judged ranks by :func:`evaluate_query`, and averaged over every judged query:
-average precision (reported as map), NDCG at the evaluation depth, bpref,
-P@10, NDCG@10 and reciprocal rank (mrr).  An unjudged rank adds to no
-measure, so the walk skips it.  Queries without relevant judgments score
-zero and stay in the mean.  The module loads no combination code: the
-correlation functions read only the fields of the results they are given.
+Six effectiveness measures are computed per query by :func:`evaluate_query`
+and averaged over every judged query: average precision (reported as map),
+NDCG at the evaluation depth, bpref, P@10, NDCG@10 and reciprocal rank (mrr).
+An unjudged rank adds to no measure, so each query's judged ranks are listed
+once, with their grades: one walk of them gives map, bpref, P@10 and mrr,
+and one function computes NDCG at any cutoff from them, both NDCGs here and
+:func:`ndcg_at`.  Queries without relevant judgments score zero and stay in
+the mean.  The module loads no combination code: the correlation functions
+read only the fields of the results they are given.
 
 :func:`spearman` is the rank correlation used to relate fused-opinion
 components to per-query effectiveness; :func:`correlation_table` ranks
@@ -41,6 +43,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+from bisect import bisect
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from itertools import compress, groupby
@@ -313,27 +316,28 @@ def without_relevant(qrels: Qrels) -> list[str]:
     return [qid for qid, judged in qrels.grades.items() if not any(judged.values())]
 
 
-def _grades(run: RunList, qrels: Qrels, qid: str) -> tuple[list[int | None], list[int]]:
-    """The grade at each rank (``None`` where unjudged) and the judged grades, best first."""
+def _judged_ranks(run: RunList, qrels: Qrels, qid: str) -> tuple[list[int], list[tuple[int, int]]]:
+    """A query's judged grades, best first, and (rank, grade) of each judged rank to the depth."""
     judged = qrels.grades.get(qid, {})
-    ranked = list(map(judged.get, run.rankings.get(qid, ())[:EVALUATION_DEPTH]))
-    return ranked, sorted(judged.values(), reverse=True)
+    ranking = run.rankings.get(qid, ())[:EVALUATION_DEPTH]
+    return (sorted(judged.values(), reverse=True),
+            [(rank, judged[docid]) for rank, docid in
+             compress(enumerate(ranking, start=1), map(judged.__contains__, ranking))])
 
 
-def _dcg(grades: Iterable[int | None]) -> float:
-    """Discounted gain in rank order, added left to right: sum() compensates since Python 3.12."""
-    return reduce(add, (grade / math.log2(rank + 1)
-                        for rank, grade in enumerate(grades, start=1) if grade), 0.0)
+def _dcg(graded_ranks: Iterable[tuple[int, int]]) -> float:
+    """Discounted gain of (rank, grade) pairs, added left to right: sum() compensates since 3.12."""
+    return reduce(add, (grade / math.log2(rank + 1) for rank, grade in graded_ranks if grade), 0.0)
 
 
-def _ndcg(ranked: list[int | None], ideal_gains: list[int], k: int) -> float:
-    """DCG of the top k ranked grades over that of the top k ideal gains (0 if that is 0)."""
-    ideal = _dcg(ideal_gains[:k])
-    return _dcg(ranked[:k]) / ideal if ideal else 0.0
+def _ndcg(ideal_gains: list[int], judged_ranks: list[tuple[int, int]], k: int) -> float:
+    """DCG of the judged ranks up to k over that of the top k ideal gains (0 if that is 0)."""
+    ideal = _dcg(enumerate(ideal_gains[:k], start=1))
+    return _dcg(judged_ranks[:bisect(judged_ranks, k, key=itemgetter(0))]) / ideal if ideal else 0.0
 
 
 def evaluate_query(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:
-    """The six measures of one query: one judgment lookup, one walk of its judged ranks.
+    """The six measures of one query, from its judged ranks (:func:`_judged_ranks`).
 
     R judged documents have grade > 0 (relevant) and N grade 0.  bpref
     charges each retrieved relevant document the judged documents of grade
@@ -342,40 +346,30 @@ def evaluate_query(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:
     top-10 ranks as misses.  map and bpref divide by R, and are 0 if R is 0.
     Every measure reads only the first :data:`EVALUATION_DEPTH` ranks, as
     many as :func:`parse_run` keeps.  Unjudged ranks add to no measure, so
-    the walk skips them; the DCG of each NDCG is added up in the walk, left
-    to right as :func:`_dcg` adds, over the ranks up to its cut-off.
+    one walk of the judged ranks gives map, bpref, p10 and mrr, and both
+    NDCGs come from :func:`_ndcg` over the same ranks, as :func:`ndcg_at` does.
     """
-    judged = qrels.grades.get(qid, {})
-    ranking = run.rankings.get(qid, ())[:EVALUATION_DEPTH]  # as parse_run cuts it
-    ideal_gains = sorted(judged.values(), reverse=True)
+    ideal_gains, judged_ranks = _judged_ranks(run, qrels, qid)
     nonrelevant = ideal_gains.count(0)
     relevant = len(ideal_gains) - nonrelevant
     bound = min(relevant, nonrelevant)
     hits = top_hits = first = nonrelevant_above = 0
-    precision_sum = preference = dcg = dcg10 = 0.0
-    for rank, docid in compress(enumerate(ranking, start=1), map(judged.__contains__, ranking)):
-        grade = judged[docid]
+    precision_sum = preference = 0.0
+    for rank, grade in judged_ranks:
         if grade > 0:
             hits += 1
             precision_sum += hits / rank
             preference += (1.0 - min(nonrelevant_above, bound) / bound) if bound else 1.0
             top_hits += rank <= 10
             first = first or rank
-            gain = grade / math.log2(rank + 1)
-            dcg += gain
-            if rank <= 10:
-                dcg10 += gain
         else:
             nonrelevant_above += 1
-    # the grade-0 gains sort last and add nothing
-    ideal = _dcg(ideal_gains[:min(relevant, EVALUATION_DEPTH)])
-    ideal10 = _dcg(ideal_gains[:10])
     return {
         "map": precision_sum / relevant if relevant else 0.0,
-        "ndcg": dcg / ideal if ideal else 0.0,
+        "ndcg": _ndcg(ideal_gains, judged_ranks, EVALUATION_DEPTH),
         "bpref": preference / relevant if relevant else 0.0,
         "p10": top_hits / 10,
-        "ndcg10": dcg10 / ideal10 if ideal10 else 0.0,
+        "ndcg10": _ndcg(ideal_gains, judged_ranks, 10),
         "mrr": 1.0 / first if first else 0.0,
     }
 
@@ -386,7 +380,7 @@ def ndcg_at(run: RunList, qrels: Qrels, qid: str, k: int) -> float:
         raise TypeError(f"k must be an integer, got {type(k).__name__}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    return _ndcg(*_grades(run, qrels, qid), k)
+    return _ndcg(*_judged_ranks(run, qrels, qid), k)
 
 
 class MetricReport(NamedTuple):

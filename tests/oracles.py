@@ -14,15 +14,18 @@ that the flat loop accepts, orders and rejects every input as they did.
 
 :func:`evaluate_query_reference` is the per-query scorer the package had
 before it walked only the judged ranks, kept verbatim with its
-``_grades`` helper: it looks up a grade at every rank and computes each
-NDCG from a separate pass over the graded ranking.  The package's scorer
-must give the same six floats, bit for bit.
+``_grades``, ``_dcg`` and ``_ndcg`` helpers: it looks up a grade at every
+rank and computes each NDCG from a separate pass over the graded ranking.
+The package's scorer, and its ``ndcg_at`` at every cutoff, must give the
+same floats, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from math import fsum
+from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -34,7 +37,6 @@ from polyrep.ireval import (
     QrelsParseError,
     RunList,
     RunParseError,
-    _ndcg,
 )
 from polyrep.textprep import _decimal, reading
 
@@ -220,6 +222,18 @@ def _grades_reference(run: RunList, qrels: Qrels, qid: str) -> tuple[list[int | 
     judged = qrels.grades.get(qid, {})
     ranked = list(map(judged.get, run.rankings.get(qid, ())))
     return ranked, sorted(judged.values(), reverse=True)
+
+
+def _dcg(grades: Iterable[int | None]) -> float:
+    """Discounted gain in rank order, added left to right: sum() compensates since Python 3.12."""
+    return reduce(add, (grade / math.log2(rank + 1)
+                        for rank, grade in enumerate(grades, start=1) if grade), 0.0)
+
+
+def _ndcg(ranked: list[int | None], ideal_gains: list[int], k: int) -> float:
+    """DCG of the top k ranked grades over that of the top k ideal gains (0 if that is 0)."""
+    ideal = _dcg(ideal_gains[:k])
+    return _dcg(ranked[:k]) / ideal if ideal else 0.0
 
 
 def evaluate_query_reference(run: RunList, qrels: Qrels, qid: str) -> dict[str, float]:

@@ -128,6 +128,15 @@ class TestCombineTopic:
         fused, value = combine_topic(make_topic(), spec_for(FusionOperator.CONSENSUS), alpha=0.0)
         assert value == fused.belief
 
+    @pytest.mark.parametrize("spec", [spec_for(FusionOperator.CONSENSUS),
+                                      spec_for(FusionOperator.RECOMMENDATION, CombinationOrder.AB)])
+    def test_unknown_positive_rule_rejected(self, spec):
+        # recommendation evidence ignores the rule, yet a bad one is still an error
+        with pytest.raises(ValueError, match="'bogus' is not a valid"):
+            combine_topic(make_topic(), spec, positive_rule="bogus")
+        assert combine_topic(make_topic(), spec, positive_rule="union") == combine_topic(
+            make_topic(), spec, positive_rule=PositiveRule.UNION)
+
 
 class TestSpecValidation:
     def test_identical_representations_rejected(self):
@@ -416,7 +425,7 @@ class TestRunMatrixWork:
 
         for name in ("consensus_evidence", "recommendation_evidence", "from_evidence"):
             count(name, combine)
-        count("tokenize", textprep, combine)
+        count("tokenize", textprep)
         results = run_matrix(fixture_topics, ALL_LEVELS)
         cells = len(fixture_topics) * len(ALL_LEVELS)
         # One call per (text, level): the keywords and four representations.

@@ -1006,6 +1006,10 @@ class TestJudgedRankWalk:
         got = evaluate_query(run, qrels, "q")
         assert list(got) == list(METRICS)
         assert got == oracles.evaluate_query_reference(at_depth(run), qrels, "q")
+        # ndcg_at at every cutoff, and past the depth, is the reference's NDCG bit for bit
+        ranked, ideal_gains = oracles._grades_reference(at_depth(run), qrels, "q")
+        for k in [*range(1, len(ranked) + 3), 2 * EVALUATION_DEPTH]:
+            assert ndcg_at(run, qrels, "q", k) == oracles._ndcg(ranked, ideal_gains, k), k
 
     @pytest.mark.parametrize("grade", GRADES)
     def test_ranks_past_the_depth_add_no_gain(self, grade):
