@@ -133,20 +133,21 @@ def _write(args: argparse.Namespace, stem: str, payload: Callable[[], object],
     Every command calls this once, after all its computation, so the output
     directory is made here and a failed command leaves none behind.  A report
     of the same stem in the other format, left by an earlier run, is counted
-    on stderr and kept.
+    on stderr and kept.  Either format is built in one buffer and emitted once.
     """
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         other = stem + (".tsv" if args.format == "obj" else ".json")
         if os.path.exists(os.path.join(args.out, other)):
             _warn("report in --out in the other --format, kept", [other])
+    buffer = io.StringIO()
     if args.format == "obj":
         import json
-        _emit(json.dumps(payload(), indent=2, sort_keys=True) + "\n", args.out, stem + ".json")
+        json.dump(payload(), buffer, indent=2, sort_keys=True)
+        buffer.write("\n")
     else:
-        buffer = io.StringIO()
         write_tsv(buffer)
-        _emit(buffer.getvalue(), args.out, stem + ".tsv")
+    _emit(buffer.getvalue(), args.out, stem + (".json" if args.format == "obj" else ".tsv"))
 
 
 def _write_rows(args: argparse.Namespace, stem: str, columns: tuple[str, ...],
@@ -246,9 +247,8 @@ def _plot_filename(key: tuple[str, ...]) -> str:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     from .ireval import CORRELATION_COLUMNS, correlation_table, plot_column, write_plot_data
-    results = _matrix(args)
-    report = _evaluate(args)
-    table = correlation_table(results, report)  # all of it before any file is written
+    # all before any file is written; the matrix results and report are freed here
+    table = correlation_table(_matrix(args), _evaluate(args))
     names = [_plot_filename(key) for key, _, _, _ in table]
     present = os.listdir(args.out) if os.path.isdir(args.out) else []  # _write makes it
     _warn("plot files in --out that this run does not write, kept",

@@ -8,7 +8,7 @@ leaves a per-layer metric without a value, although the command still exits
 ``evaluate``, and require neither list to hold anything, the stem and
 tokenize counts to follow the dataflow, and the line and query counts to be
 those of the fixture's files.  They guard that surface until the package emits its own
-stage spans and the tracer only reads them (ROADMAP item 2).
+stage spans and the tracer only reads them (ROADMAP item 1).
 """
 
 import json

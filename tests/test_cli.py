@@ -1,16 +1,22 @@
 """Command-line behaviour: outputs, flags, config files, error handling."""
 
 import contextlib
+import gc
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyrep import cli, ireval
 from polyrep.cli import build_parser, main
-from polyrep.combine import AggregationMode, FusionOperator
+from polyrep.combine import AggregationMode, CombinationResult, FusionOperator
 from polyrep.evidence import PositiveRule
 
 DATA = Path(__file__).parent / "data"
@@ -558,6 +564,32 @@ class TestCorrelate:
         ) == 0
         assert calls == [3] * (6 + 72 * 2)
 
+    def test_releases_the_matrix_results_before_writing(self, tmp_path, monkeypatch):
+        # the table keeps the floats it needs; the 72 results' opinions are freed by then
+        def results():  # those other tests left alive are counted before the run
+            return sum(isinstance(obj, CombinationResult) for obj in gc.get_objects())
+
+        gc.collect()
+        left, live = results(), []
+        write_rows = cli._write_rows
+
+        def counting(*args, **kwargs):
+            live.append(results() - left)
+            return write_rows(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_write_rows", counting)
+        assert main(
+            [
+                "correlate",
+                "--topics", str(DATA / "topics.jsonl"),
+                "--run", str(DATA / "run.txt"),
+                "--qrels", str(DATA / "qrels.txt"),
+                "--format", "obj",
+                "--out", str(tmp_path / "out"),
+            ]
+        ) == 0
+        assert live == [0]
+
 
 class TestStalePlotFiles:
     """``correlate`` counts the plot files in ``--out`` it does not write, and keeps them."""
@@ -633,6 +665,47 @@ class TestOtherFormatReport:
         ]
         assert (out / (stem + extension[first])).read_bytes() == kept
         assert (out / (stem + extension[then])).exists()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestOneBufferWrite:
+    """``_write`` builds either format in one buffer and writes the same bytes as
+    ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, or as the TSV writer wrote."""
+
+    @staticmethod
+    def written(fmt, payload, write_tsv):
+        """The report's bytes on stdout and in ``--out``."""
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+        with contextlib.redirect_stdout(stdout):
+            cli._write(Namespace(out=None, format=fmt), "report", lambda: payload, write_tsv)
+        stdout.flush()
+        with tempfile.TemporaryDirectory() as out:
+            cli._write(Namespace(out=out, format=fmt), "report", lambda: payload, write_tsv)
+            name = "report." + ("json" if fmt == "obj" else "tsv")
+            return stdout.buffer.getvalue(), (Path(out) / name).read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    @example({"b": [1e-300, 1e300, -0.0], "a": {"": [], "z": {}}, "n": 2 ** 100})
+    @example(["\x00\x1f\u2028 é 😀 \ud800", -(2 ** 64), {"\u00e9": None, "e": True}])
+    @example({})
+    def test_obj_equals_json_dumps(self, payload):
+        expected = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        assert self.written("obj", payload, None) == (expected, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)))))
+    def test_tsv_is_what_the_writer_wrote(self, chunks):
+        expected = "".join(chunks).encode("utf-8")
+        written = self.written("tsv", None, lambda stream: stream.writelines(chunks))
+        assert written == (expected, expected)
 
 
 class TestUnjudgedRunQueries:
